@@ -35,13 +35,15 @@ StreamingRca::StreamingRca(const topology::Network& net,
     storage::SealedLoad sealed =
         storage::load_sealed_events(options_.persist_dir);
     // The crash-torn WAL is discarded: everything past the last seal is
-    // re-derived from the re-fed stream (extract_floor_ gates duplicates).
+    // re-derived from the re-fed stream.
     persist_ = std::make_unique<storage::EventLogWriter>(
         options_.persist_dir, /*discard_wal=*/true, options_.persist_format);
     if (sealed.watermark) {
       for (core::EventInstance& e : sealed.events) store_.add(std::move(e));
       store_.warm();
-      extract_floor_ = *sealed.watermark;
+      // Re-extracted twins of the sealed events must not re-enter the
+      // store (or the log): the extractor masks them at release.
+      extractor_.discard_before(*sealed.watermark);
       last_seal_cut_ = *sealed.watermark;
       resumed_from_ = sealed.watermark;
     }
@@ -96,77 +98,56 @@ void StreamingRca::ingest(const telemetry::RawRecord& raw) {
     return;
   }
   high_water_ = std::max(high_water_, record.utc);
-  // Keep the buffer sorted; most records arrive nearly in order, so the
-  // insertion point is near the back.
-  auto pos = std::upper_bound(buffer_.begin(), buffer_.end(), record.utc,
-                              [](TimeSec t, const NormalizedRecord& r) {
-                                return t < r.utc;
-                              });
-  buffer_.insert(pos, std::move(record));
+  extractor_.feed(record);
   ++stored_;
+  // Routing replays monitor records only, in utc order at freeze time.
+  if (record.source != telemetry::SourceType::kOspfMon &&
+      record.source != telemetry::SourceType::kBgpMon) {
+    return;
+  }
+  // Most records arrive nearly in order, so the insertion point is near
+  // the back.
+  auto pos = std::upper_bound(
+      routing_buffer_.begin() + static_cast<std::ptrdiff_t>(routing_head_),
+      routing_buffer_.end(), record.utc,
+      [](TimeSec t, const NormalizedRecord& r) { return t < r.utc; });
+  routing_buffer_.insert(pos, std::move(record));
 }
 
 void StreamingRca::freeze_until(TimeSec new_cut) {
   if (new_cut <= frozen_cut_) return;
-  // Extraction context: records somewhat before the region (so transitions
-  // and pairings that began earlier resolve) through everything buffered.
-  // On the very first freeze nothing has been finalized, so the whole
-  // buffer is both context and freezable region.
-  constexpr TimeSec kNever = std::numeric_limits<TimeSec>::min();
-  TimeSec context_from =
-      frozen_cut_ == kNever
-          ? kNever
-          : frozen_cut_ - options_.extract.flap_pair_window - 600;
-  auto first = std::lower_bound(buffer_.begin(), buffer_.end(), context_from,
-                                [](const NormalizedRecord& r, TimeSec t) {
-                                  return r.utc < t;
-                                });
-  core::EventStore scratch;
-  if (first != buffer_.end()) {
-    extractor_.extract(
-        std::span<const NormalizedRecord>(
-            &*first, static_cast<std::size_t>(buffer_.end() - first)),
-        scratch);
-  }
-  // extract_floor_ additionally masks the region a resumed engine already
-  // reloaded from sealed segments — re-extracted twins of persisted events
-  // must not re-enter the store (or the log).
-  TimeSec effective_from =
-      std::max({frozen_cut_, context_from, extract_floor_});
-  for (const std::string& name : scratch.event_names()) {
-    for (const core::EventInstance& e : scratch.all(name)) {
-      if (e.when.start >= effective_from && e.when.start < new_cut) {
-        store_.add(e);
-        if (persist_) persist_->append(e);
-      }
-    }
+  // The extractor commits what was fed before the cut and releases the
+  // events starting before it (each at most once, none below a resumed
+  // engine's sealed watermark).
+  released_.clear();
+  extractor_.advance(new_cut, released_);
+  for (core::EventInstance& e : released_) {
+    if (persist_) persist_->append(e);
+    store_.add(std::move(e));
   }
   // Routing follows the freeze cut: monitor records in the frozen region are
   // final and strictly ordered. Because every replayed change time is >= the
-  // previous routing_cut_ — and all diagnosed symptoms are older than that
-  // cut — replay only appends routing epochs: epoch_at(t) for already-
-  // diagnosed times never renumbers, so the engine's join cache stays valid
-  // across batches without invalidation.
-  auto route_first = std::lower_bound(
-      buffer_.begin(), buffer_.end(), routing_cut_,
+  // previous cut — and all diagnosed symptoms are older than that cut —
+  // replay only appends routing epochs: epoch_at(t) for already-diagnosed
+  // times never renumbers, so the engine's join cache stays valid across
+  // batches without invalidation.
+  const auto first =
+      routing_buffer_.begin() + static_cast<std::ptrdiff_t>(routing_head_);
+  const auto last = std::lower_bound(
+      first, routing_buffer_.end(), new_cut,
       [](const NormalizedRecord& r, TimeSec t) { return r.utc < t; });
-  auto route_last = std::lower_bound(
-      buffer_.begin(), buffer_.end(), new_cut,
-      [](const NormalizedRecord& r, TimeSec t) { return r.utc < t; });
-  if (route_first < route_last) {
+  if (first < last) {
     routing_.replay(std::span<const NormalizedRecord>(
-        &*route_first, static_cast<std::size_t>(route_last - route_first)));
+        &*first, static_cast<std::size_t>(last - first)));
   }
-  routing_cut_ = new_cut;
+  // Replayed records are done; drop them once they are the larger half, so
+  // trimming stays amortized O(1) per record.
+  routing_head_ = static_cast<std::size_t>(last - routing_buffer_.begin());
+  if (2 * routing_head_ >= routing_buffer_.size()) {
+    routing_buffer_.erase(routing_buffer_.begin(), last);
+    routing_head_ = 0;
+  }
   frozen_cut_ = new_cut;
-  // Trim records that can no longer contribute to any future extraction.
-  TimeSec keep_from =
-      frozen_cut_ - options_.extract.flap_pair_window - 2 * 600;
-  auto keep = std::lower_bound(buffer_.begin(), buffer_.end(), keep_from,
-                               [](const NormalizedRecord& r, TimeSec t) {
-                                 return r.utc < t;
-                               });
-  buffer_.erase(buffer_.begin(), keep);
 }
 
 /// Join state for one batch pushed through the worker queue.

@@ -6,15 +6,24 @@
 // engine as the batch pipeline.
 //
 // Design: raw records are ingested as they arrive (out-of-order within a
-// bounded skew). Event extraction is finalized behind a sliding *freeze
-// horizon* H: an event starting before `now - H` can no longer change (every
-// flap pairs within the pairing window < H), so it is extracted exactly once
-// and added to the store. Symptom instances are diagnosed once they are both
-// frozen and older than the *settle window* S — the maximum forward
-// lookahead any diagnosis rule needs — so late diagnostic evidence is
-// guaranteed to be present. Each advance() returns the newly completed
-// diagnoses; detection latency is therefore bounded by S plus the tick
-// interval.
+// bounded skew) and fed straight into a stateful EventExtractor, which
+// parses each one once. Event extraction is finalized behind a sliding
+// *freeze horizon* H: an event starting before `now - H` can no longer
+// change (every flap pairs within the pairing window < H), so it is
+// released exactly once and added to the store. Symptom instances are
+// diagnosed once they are both frozen and older than the *settle window*
+// S — the maximum forward lookahead any diagnosis rule needs — so late
+// diagnostic evidence is guaranteed to be present. Each advance() returns
+// the newly completed diagnoses; detection latency is therefore bounded by
+// S plus the tick interval.
+//
+// Cost contract: a tick does work in proportion to what arrived since the
+// last one. Ingest parses and stages each record once; a freeze commits the
+// staged state before the cut, releases the finished events (a lookahead
+// over the already-parsed tail resolves only the keys still open at the
+// cut) and replays routing over the new monitor records; the store absorbs
+// the appended events with an O(new) warm(). Nothing is re-extracted or
+// re-sorted per tick.
 #pragma once
 
 #include <filesystem>
@@ -129,8 +138,8 @@ class StreamingRca {
   }
 
  private:
-  /// Extracts events from the buffered records and freezes those starting
-  /// in [frozen_cut_, new_cut).
+  /// Freezes the events starting in [frozen_cut_, new_cut) into the store
+  /// and replays routing up to the new cut.
   void freeze_until(util::TimeSec new_cut);
   /// Diagnoses frozen, settled, not-yet-diagnosed symptoms. With workers
   /// configured, the batch is pushed through the bounded queue and this
@@ -166,9 +175,6 @@ class StreamingRca {
   /// Write-ahead persistence (see StreamingOptions::persist_dir); null
   /// when persistence is off. Complete type only in streaming.cpp.
   std::unique_ptr<storage::EventLogWriter> persist_;
-  /// Events starting before this are already sealed on disk (resume):
-  /// extraction re-derives but does not re-add or re-append them.
-  util::TimeSec extract_floor_ = std::numeric_limits<util::TimeSec>::min();
   util::TimeSec last_seal_cut_ = std::numeric_limits<util::TimeSec>::min();
   std::optional<util::TimeSec> resumed_from_;
 
@@ -178,10 +184,13 @@ class StreamingRca {
   std::unique_ptr<util::BoundedQueue<DiagnosisJob>> jobs_;
   std::vector<std::thread> workers_;
 
-  std::vector<collector::NormalizedRecord> buffer_;  // kept sorted by utc
+  /// Monitor records awaiting routing replay, sorted by utc from
+  /// routing_head_ on (the replayed prefix is dropped in bulk).
+  std::vector<collector::NormalizedRecord> routing_buffer_;
+  std::size_t routing_head_ = 0;
+  std::vector<core::EventInstance> released_;  // one freeze's events
   util::TimeSec high_water_ = std::numeric_limits<util::TimeSec>::min();
   util::TimeSec frozen_cut_ = std::numeric_limits<util::TimeSec>::min();
-  util::TimeSec routing_cut_ = std::numeric_limits<util::TimeSec>::min();
   util::TimeSec last_now_ = std::numeric_limits<util::TimeSec>::min();
   std::size_t diagnose_cursor_ = 0;  // symptoms diagnosed so far (by order)
   std::size_t stored_ = 0;

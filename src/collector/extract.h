@@ -9,6 +9,7 @@
 // decision-process emulation.
 #pragma once
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -54,16 +55,56 @@ struct ExtractOptions {
   std::size_t anomaly_window = 48;        // rolling baseline length
 };
 
+/// The retrieval processes as one incremental state machine. Records are
+/// fed once each, in any order no older than the last cut; advance(cut)
+/// finalizes everything before the cut and releases the instances that
+/// start before it. Per-key state that spans records — unpaired downs,
+/// previous OSPF metrics, cost changes awaiting their router grouping,
+/// announce bursts, anomaly baselines — is carried between calls and
+/// pruned once it can no longer produce an instance, so the open state is
+/// bounded by the activity inside the pairing/grouping windows, not by the
+/// stream's length. Batch extract() is feed-everything plus a final
+/// advance on a fresh extractor, so batch and streaming share one
+/// implementation.
 class EventExtractor {
  public:
   explicit EventExtractor(const topology::Network& net,
-                          ExtractOptions options = {})
-      : net_(net), options_(options) {}
+                          ExtractOptions options = {});
+  ~EventExtractor();
 
-  /// Runs every retrieval process over UTC-sorted records, adding instances
-  /// to `store`.
+  /// Runs every retrieval process over `records`, adding instances to
+  /// `store` (per event name in start order; equal starts in record
+  /// order, or key order for the keyed processes).
   void extract(std::span<const NormalizedRecord> records,
                core::EventStore& store) const;
+
+  /// Parses one record into the open state; its body is read here and
+  /// never again. Throws StateError for a record older than the last
+  /// advance() cut — that region is final.
+  void feed(const NormalizedRecord& record);
+
+  /// Commits every fed record before `cut` and appends to `out`, ordered by
+  /// (start, name, batch tie order), each instance starting in
+  /// [floor, cut), where floor is the previous cut or discard_before(),
+  /// whichever is later; instances starting before it were already
+  /// released (or are masked) and are dropped. An instance that starts
+  /// before `cut` but depends on records at or after it (a down whose up
+  /// came later, a burst or cost group still open at the cut) is resolved
+  /// by a read-only lookahead over what has been fed, treating the last
+  /// fed record as the end of data — exactly what a batch run over the
+  /// fed records would produce. The lookahead touches only keys with open
+  /// state and commits nothing. `cut` must not decrease.
+  void advance(util::TimeSec cut, std::vector<core::EventInstance>& out);
+
+  /// Masks every instance starting before `floor` from later releases
+  /// (a resumed stream's already-persisted region).
+  void discard_before(util::TimeSec floor);
+
+  /// Entries held by the open state: keys, fed-but-uncommitted
+  /// observations and finalized instances awaiting their release cut.
+  /// (Anomaly baselines are excluded: one bounded window per metric
+  /// series.)
+  std::size_t open_state() const noexcept;
 
   /// Detects bgp-egress-change events: for each BGP update, emulates the
   /// decision process at every observer router and emits an event when the
@@ -76,12 +117,11 @@ class EventExtractor {
   const ExtractOptions& options() const noexcept { return options_; }
 
  private:
-  /// The anomaly-detection retrieval process for perf/CDN metrics.
-  void extract_metric_anomalies(std::span<const NormalizedRecord> records,
-                                core::EventStore& store) const;
+  struct State;  // the retrieval processes' open state (extract.cpp)
 
   const topology::Network& net_;
   ExtractOptions options_;
+  std::unique_ptr<State> state_;
 };
 
 }  // namespace grca::collector

@@ -18,8 +18,8 @@ void EventStore::add(EventInstance instance) {
     throw ConfigError("EventStore: invalid interval for " + instance.name);
   }
   // An incoming instance may carry an id issued by another store's table
-  // (e.g. the streaming engine extracts into a scratch store, then copies
-  // here); ids never transfer across tables.
+  // (e.g. copied out of a store it was first loaded into); ids never
+  // transfer across tables.
   instance.where_id = kInvalidLocId;
   Bucket& b = buckets_[instance.name];
   if (metrics_ && !b.counter) {
@@ -29,30 +29,44 @@ void EventStore::add(EventInstance instance) {
   if (b.counter) b.counter->inc();
   b.max_duration = std::max(b.max_duration, instance.when.duration());
   b.items.push_back(std::move(instance));
-  b.dirty = true;
   ++total_;
 }
 
 void EventStore::ensure_sorted(const Bucket& bucket) const {
-  if (!bucket.dirty) return;
+  if (bucket.sorted == bucket.items.size()) return;
   Bucket& b = const_cast<Bucket&>(bucket);
-  std::stable_sort(b.items.begin(), b.items.end(),
-                   [](const EventInstance& x, const EventInstance& y) {
-                     return x.when.start < y.when.start;
-                   });
-  b.dirty = false;
+  auto by_start = [](const EventInstance& x, const EventInstance& y) {
+    return x.when.start < y.when.start;
+  };
+  const auto mid = b.items.begin() + static_cast<std::ptrdiff_t>(b.sorted);
+  std::stable_sort(mid, b.items.end(), by_start);
+  if (mid != b.items.begin() && by_start(*mid, *std::prev(mid))) {
+    // The tail interleaves with the prefix. Instances before the first one
+    // the tail precedes stay put; the merge moves the rest, so the
+    // interned range shrinks to the untouched part. inplace_merge is
+    // stable, so equal starts keep insertion order, exactly as one
+    // stable_sort over the whole bucket would leave them.
+    const auto first_moved = std::upper_bound(b.items.begin(), mid, *mid,
+                                              by_start);
+    b.interned = std::min(
+        b.interned, static_cast<std::size_t>(first_moved - b.items.begin()));
+    std::inplace_merge(first_moved, mid, b.items.end(), by_start);
+  }
+  b.sorted = b.items.size();
 }
 
 void EventStore::warm() const {
   for (const auto& [name, bucket] : buckets_) {
     ensure_sorted(bucket);
     if (bucket.interned == bucket.items.size()) continue;
-    // Intern locations added since the last warm(). Sorting interleaves new
-    // instances anywhere in the bucket, so scan the whole vector — already
-    // interned ones cost one integer compare.
+    // After a merge [interned, size) mixes old (already interned — one
+    // integer compare each) and new instances.
     Bucket& b = const_cast<Bucket&>(bucket);
-    for (EventInstance& e : b.items) {
-      if (e.where_id == kInvalidLocId) e.where_id = locations_->intern(e.where);
+    for (auto e = b.items.begin() + static_cast<std::ptrdiff_t>(b.interned);
+         e != b.items.end(); ++e) {
+      if (e->where_id == kInvalidLocId) {
+        e->where_id = locations_->intern(e->where);
+      }
     }
     b.interned = b.items.size();
   }
@@ -61,14 +75,6 @@ void EventStore::warm() const {
 void EventStore::finalize() {
   warm();
   finalized_ = true;
-}
-
-std::vector<const EventInstance*> EventStore::query(const std::string& name,
-                                                    util::TimeSec from,
-                                                    util::TimeSec to) const {
-  std::vector<const EventInstance*> out;
-  query_into(name, from, to, out);
-  return out;
 }
 
 std::size_t EventStore::query_into(
@@ -93,26 +99,6 @@ std::size_t EventStore::query_into(
     if (i->when.end >= from) out.push_back(&*i);
   }
   return out.size();
-}
-
-std::vector<const EventInstance*> EventStore::query(
-    const std::string& name, util::TimeSec from, util::TimeSec to,
-    const std::function<bool(const EventInstance&)>& pred) const {
-  std::vector<const EventInstance*> out;
-  auto it = buckets_.find(name);
-  if (it == buckets_.end()) return out;
-  const Bucket& b = it->second;
-  ensure_sorted(b);
-  // Overlap requires start <= to and end >= from; since end <= start +
-  // max_duration, any overlapping instance has start >= from - max_duration.
-  util::TimeSec lo = from - b.max_duration;
-  auto first = std::lower_bound(
-      b.items.begin(), b.items.end(), lo,
-      [](const EventInstance& e, util::TimeSec v) { return e.when.start < v; });
-  for (auto i = first; i != b.items.end() && i->when.start <= to; ++i) {
-    if (i->when.end >= from && pred(*i)) out.push_back(&*i);
-  }
-  return out;
 }
 
 std::span<const EventInstance> EventStore::all(const std::string& name) const {

@@ -8,14 +8,20 @@
 // is a binary search plus a linear scan of the overlap range.
 //
 // Threading contract (freeze-then-query): add() and the first query after a
-// mutation are single-threaded — queries lazily (re)sort dirty buckets.
-// Calling warm() sorts every dirty bucket from the calling thread; from that
-// point until the next add(), all query paths are physically const and safe
-// to call from any number of threads concurrently. finalize() additionally
-// pins that state permanently: further add() calls throw.
+// mutation are single-threaded — queries lazily sort what was appended.
+// Calling warm() sorts and interns everything appended since the last
+// warm() from the calling thread; from that point until the next add(), all
+// query paths are physically const and safe to call from any number of
+// threads concurrently. finalize() additionally pins that state
+// permanently: further add() calls throw.
+//
+// Appends are cheap to absorb: each bucket tracks its sorted and interned
+// prefixes, so warm() costs O(new · log new) plus a merge only when the new
+// instances interleave with the old ones — a store that grows by
+// time-ordered batches (the streaming engine's freezes) never re-sorts what
+// it already holds.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -52,7 +58,8 @@ class EventStoreView {
       const std::string& name, util::TimeSec from, util::TimeSec to,
       std::vector<const EventInstance*>& out) const = 0;
 
-  /// Convenience wrapper over query_into.
+  /// Convenience wrapper over query_into: every instance of `name` whose
+  /// interval overlaps [from, to].
   std::vector<const EventInstance*> query(const std::string& name,
                                           util::TimeSec from,
                                           util::TimeSec to) const {
@@ -76,14 +83,18 @@ class EventStoreView {
 
 class EventStore : public EventStoreView {
  public:
-  /// Adds one instance. Instances may arrive in any order; the index is
-  /// (re)sorted lazily on first query after a mutation. Throws ConfigError
-  /// after finalize().
+  /// Adds one instance in amortized O(1): it is appended to its bucket's
+  /// unsorted tail, which the next warm() or query sorts into place.
+  /// Instances may arrive in any order; equal start times keep insertion
+  /// order. Throws ConfigError after finalize().
   void add(EventInstance instance);
 
-  /// Sorts every dirty bucket now and interns every instance location into
-  /// locations(). After this returns — and until the next add() — queries
-  /// are read-only and safe from concurrent threads.
+  /// Sorts every bucket's appended tail into place and interns the new
+  /// instances' locations into locations(). Costs O(k log k) for k
+  /// instances added since the last warm(), plus a linear merge for a
+  /// bucket whose new instances start before its last sorted one. After
+  /// this returns — and until the next add() — queries are read-only and
+  /// safe from concurrent threads.
   void warm() const override;
 
   /// warm() plus a permanent write lock: any later add() throws ConfigError.
@@ -94,30 +105,20 @@ class EventStore : public EventStoreView {
   bool finalized() const noexcept { return finalized_; }
 
   /// Mirrors every add() into `registry` as per-signature-class counters
-  /// (`grca_events_total{event="<name>"}`). Enable on the *primary* store
-  /// only — scratch stores (e.g. the streaming engine's incremental
-  /// extraction buffers) would double-count. Pass nullptr to disable.
+  /// (`grca_events_total{event="<name>"}`). Enable on the store whose adds
+  /// are the extraction output (the pipeline's or streaming engine's
+  /// store); a store filled by copying another's events would count them
+  /// twice. Pass nullptr to disable.
   void enable_metrics(obs::MetricsRegistry* registry) noexcept {
     metrics_ = registry;
   }
 
-  /// All instances of `name` whose interval could overlap an expanded window
-  /// [from, to] — i.e. start <= to and end >= from. `max_duration` hints the
-  /// longest instance duration for the backward scan; the store tracks it
-  /// automatically.
-  std::vector<const EventInstance*> query(const std::string& name,
-                                          util::TimeSec from,
-                                          util::TimeSec to) const;
-
-  /// Window query further filtered by a predicate.
-  std::vector<const EventInstance*> query(
-      const std::string& name, util::TimeSec from, util::TimeSec to,
-      const std::function<bool(const EventInstance&)>& pred) const;
-
   /// Allocation-free window query: clears `out` (capacity kept) and appends
-  /// the same pointers query() would return. Batch callers reuse one scratch
-  /// vector across thousands of queries so the hot path stops allocating;
-  /// returns the number of instances appended.
+  /// every instance of `name` overlapping [from, to], in start order. The
+  /// backward scan starts at from − (the bucket's longest duration), which
+  /// the store tracks itself. Batch callers reuse one scratch vector across
+  /// thousands of queries so the hot path stops allocating; returns the
+  /// number of instances appended.
   std::size_t query_into(const std::string& name, util::TimeSec from,
                          util::TimeSec to,
                          std::vector<const EventInstance*>& out) const override;
@@ -138,10 +139,10 @@ class EventStore : public EventStoreView {
 
  private:
   struct Bucket {
-    std::vector<EventInstance> items;   // sorted by when.start once clean
+    std::vector<EventInstance> items;   // [0, sorted) ordered by when.start
     util::TimeSec max_duration = 0;
-    bool dirty = false;
-    std::size_t interned = 0;           // items interned so far (see warm())
+    std::size_t sorted = 0;             // length of the sorted prefix
+    std::size_t interned = 0;           // [0, interned) carry a where_id
     obs::Counter* counter = nullptr;    // resolved once per signature class
   };
   void ensure_sorted(const Bucket& bucket) const;
