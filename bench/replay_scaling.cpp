@@ -9,17 +9,28 @@
 // and the final truth-checked run must conserve every record and match
 // the batch pipeline verdict-for-verdict. Writes the gated run's report
 // as JSON (default BENCH_replay.json) for the CI artifact trail.
+//
+// It also times ingest alone — the study written to TSV in memory, then
+// read_stream + normalize_stream + RecordIndex, best of 20 runs — and writes
+// ingest_records_per_sec to BENCH_ingest.json beside the replay report.
 
 #include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "apps/bgp_flap_app.h"
 #include "apps/replay.h"
 #include "bench/bench_util.h"
+#include "collector/normalizer.h"
+#include "collector/record_index.h"
 #include "simulation/workloads.h"
+#include "telemetry/records_io.h"
 #include "util/table.h"
 
 namespace {
@@ -41,6 +52,27 @@ std::string fingerprint(const std::vector<grca::core::Diagnosis>& diagnoses) {
   return out;
 }
 
+/// Records per second from TSV text to a RecordIndex, best of 20 runs.
+double ingest_records_per_sec(const grca::topology::Network& net,
+                              const grca::telemetry::RecordStream& records) {
+  using namespace grca;
+  std::ostringstream tsv;
+  telemetry::write_stream(tsv, records);
+  const std::string text = tsv.str();
+  double best = 0.0;
+  for (int run = 0; run < 20; ++run) {
+    std::istringstream in(text);
+    const auto t0 = std::chrono::steady_clock::now();
+    collector::RecordIndex index(
+        collector::Normalizer(net).normalize_stream(telemetry::read_stream(in)));
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+    best = std::max(best, static_cast<double>(index.size()) / seconds);
+  }
+  return best;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -57,6 +89,20 @@ int main(int argc, char** argv) {
   params.days = 14;
   params.target_symptoms = 1000;
   sim::StudyOutput study = sim::run_bgp_study(world.sim_net, params);
+  const double ingest_rate =
+      ingest_records_per_sec(world.rca_net, study.records);
+  std::printf("ingest (read + normalize + index): %.0f records/s\n",
+              ingest_rate);
+  {
+    const std::string ingest_file =
+        (std::filesystem::path(out_file).parent_path() / "BENCH_ingest.json")
+            .string();
+    std::ofstream out(ingest_file);
+    out << "{\n  \"records\": " << study.records.size()
+        << ",\n  \"ingest_records_per_sec\": " << std::llround(ingest_rate)
+        << "\n}\n";
+    std::printf("ingest report written to %s\n", ingest_file.c_str());
+  }
   std::printf("replaying %zu records (%d days) at max rate\n",
               study.records.size(), params.days);
 

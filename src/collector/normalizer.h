@@ -13,12 +13,14 @@
 // metric).
 #pragma once
 
+#include <cstdint>
 #include <limits>
 #include <vector>
 
 #include "collector/normalized.h"
 #include "obs/feed_health.h"
 #include "topology/network.h"
+#include "util/strings.h"
 
 namespace grca::collector {
 
@@ -31,21 +33,38 @@ class Normalizer {
                       obs::FeedHealthMonitor* feed_health = nullptr);
 
   /// Normalizes one raw record; returns false (and counts it) when the
-  /// record references an unknown device.
+  /// record references an unknown device. The inventory is read when the
+  /// Normalizer is built: layer-1 devices and routers added to `net` later
+  /// are not known to it (a record naming such a router throws StateError).
   bool normalize(const telemetry::RawRecord& raw, NormalizedRecord& out) const;
 
-  /// Normalizes a stream, dropping unknown-device records.
+  /// Normalizes a stream, dropping unknown-device records. The result is in
+  /// record order: by utc, then by every other field, attrs last — a total
+  /// order over content, so arrival order never shows through.
   std::vector<NormalizedRecord> normalize_stream(
       const telemetry::RecordStream& stream) const;
 
   std::size_t dropped() const noexcept { return dropped_; }
 
  private:
-  bool normalize_impl(const telemetry::RawRecord& raw,
-                      NormalizedRecord& out) const;
+  /// Decides whether `raw` is kept and, if so, its UTC instant and router
+  /// rank (0 when the record names no router). Copies nothing.
+  bool resolve(const telemetry::RawRecord& raw, util::TimeSec& utc,
+               std::uint32_t& router_rank) const;
+  /// Builds the normalized record of a resolved raw record into a
+  /// default-constructed `out`.
+  void build(const telemetry::RawRecord& raw, util::TimeSec utc,
+             std::uint32_t router_rank, NormalizedRecord& out) const;
+  /// Feed-health and drop accounting for one resolved record.
+  bool report(telemetry::SourceType source, util::TimeSec utc, bool kept) const;
 
   const topology::Network& net_;
-  std::unordered_map<std::string, topology::Layer1DeviceId> l1_by_name_;
+  util::StringMap<topology::Layer1DeviceId> l1_by_name_;
+  /// RouterId -> 1 + rank of the router's name among all router names, so
+  /// comparing ranks orders routers exactly as comparing names does.
+  std::vector<std::uint32_t> router_rank_;
+  /// Rank - 1 -> the router's canonical name.
+  std::vector<std::string> router_by_rank_;
   obs::FeedHealthMonitor* feed_health_ = nullptr;
   mutable std::size_t dropped_ = 0;
   /// Highest UTC seen so far: the arrival-time proxy for feed lag (records

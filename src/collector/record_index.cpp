@@ -9,10 +9,13 @@ namespace grca::collector {
 
 RecordIndex::RecordIndex(std::vector<NormalizedRecord> records)
     : records_(std::move(records)) {
-  std::stable_sort(records_.begin(), records_.end(),
-                   [](const NormalizedRecord& a, const NormalizedRecord& b) {
-                     return a.utc < b.utc;
-                   });
+  auto by_utc = [](const NormalizedRecord& a, const NormalizedRecord& b) {
+    return a.utc < b.utc;
+  };
+  // normalize_stream's output is already in utc order; keep it as it is.
+  if (!std::is_sorted(records_.begin(), records_.end(), by_utc)) {
+    std::stable_sort(records_.begin(), records_.end(), by_utc);
+  }
   for (std::size_t i = 0; i < records_.size(); ++i) {
     if (!records_[i].router.empty()) {
       by_router_[records_[i].router].push_back(i);

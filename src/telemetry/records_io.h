@@ -14,17 +14,19 @@
 namespace grca::telemetry {
 
 /// Writes one record as a single TSV line (no trailing newline handling —
-/// the stream writer adds it). Tabs/newlines inside fields are escaped.
+/// the stream writer adds it). Tabs, newlines and backslashes inside fields
+/// are escaped; attr keys and values also escape ';' and '='.
 std::string to_tsv(const RawRecord& record);
 
-/// Parses a line written by to_tsv. Throws grca::ParseError on malformed
-/// input.
+/// Parses a line written by to_tsv. Numeric fields must be numbers from end
+/// to end. Throws grca::ParseError, naming the bad field, on malformed input.
 RawRecord from_tsv(const std::string& line);
 
 /// Writes a stream with a header comment.
 void write_stream(std::ostream& out, const RecordStream& stream);
 
-/// Reads a stream (skips comment lines starting with '#').
+/// Reads a stream (skips empty lines and comment lines starting with '#')
+/// with from_tsv's parser; a ParseError names the line.
 RecordStream read_stream(std::istream& in);
 
 std::string_view source_name(SourceType type) noexcept;

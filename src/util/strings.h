@@ -5,11 +5,28 @@
 // parsers, the rule DSL, and the data normalizer.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace grca::util {
+
+/// Transparent hash for string-keyed unordered containers: a lookup by
+/// std::string_view (or const char*) hashes the view instead of building a
+/// std::string first.
+struct StringHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view text) const noexcept {
+    return std::hash<std::string_view>{}(text);
+  }
+};
+
+/// Name -> value map whose find()/count() take any string-like key.
+template <typename V>
+using StringMap =
+    std::unordered_map<std::string, V, StringHash, std::equal_to<>>;
 
 /// Splits on a single character; empty fields are preserved.
 std::vector<std::string> split(std::string_view text, char sep);

@@ -7,6 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "collector/extract.h"
 #include "collector/normalizer.h"
 #include "collector/record_index.h"
@@ -14,6 +20,7 @@
 #include "simulation/emitter.h"
 #include "simulation/scenario.h"
 #include "topology/topo_gen.h"
+#include "util/rng.h"
 
 namespace grca::collector {
 namespace {
@@ -100,6 +107,83 @@ TEST(Normalizer, StreamSortedByUtc) {
   auto records = norm.normalize_stream(stream);
   ASSERT_EQ(records.size(), 2u);
   EXPECT_LE(records[0].utc, records[1].utc);
+}
+
+TEST(Normalizer, StreamOrderIsTotalOverContent) {
+  t::Network net = small_net();
+  telemetry::RecordStream stream;
+  auto add = [&](SourceType source, util::TimeSec ts, std::string device,
+                 std::string body,
+                 std::map<std::string, std::string> attrs) {
+    RawRecord r;
+    r.source = source;
+    r.timestamp = ts;
+    r.device = std::move(device);
+    r.body = std::move(body);
+    r.attrs = std::move(attrs);
+    stream.push_back(std::move(r));
+  };
+  // Withdraws of different prefixes in one second differ only in attrs.
+  for (const char* prefix : {"96.0.3.0/24", "96.0.1.0/24", "96.0.2.0/24",
+                             "96.0.0.0/24"}) {
+    add(SourceType::kBgpMon, 1000, "", "withdraw",
+        {{"prefix", prefix}, {"egress", "10.0.0.1"}});
+  }
+  // One command per router in one second: ordered by router name.
+  for (const t::Router& r : net.routers()) {
+    add(SourceType::kTacacs, 1000, r.name, "show version", {{"user", "ops"}});
+  }
+  add(SourceType::kBgpMon, 2000, "", "announce", {{"prefix", "96.0.0.0/24"}});
+  add(SourceType::kBgpMon, 999, "", "announce", {{"prefix", "96.0.9.0/24"}});
+
+  auto content_less = [](const NormalizedRecord& a,
+                         const NormalizedRecord& b) {
+    return std::tie(a.utc, a.source, a.router, a.device, a.interface, a.field,
+                    a.body, a.value, a.attrs) <
+           std::tie(b.utc, b.source, b.router, b.device, b.interface, b.field,
+                    b.body, b.value, b.attrs);
+  };
+  auto rendered = [](const std::vector<NormalizedRecord>& records) {
+    std::vector<std::string> out;
+    for (const NormalizedRecord& r : records) out.push_back(render(r));
+    return out;
+  };
+  Normalizer norm(net);
+  // Out of utc order as given: the whole stream is sorted.
+  std::vector<NormalizedRecord> reference = norm.normalize_stream(stream);
+  ASSERT_EQ(reference.size(), stream.size());
+  for (std::size_t i = 1; i < reference.size(); ++i) {
+    EXPECT_FALSE(content_less(reference[i], reference[i - 1])) << i;
+  }
+  util::Rng rng(4242);
+  for (int round = 0; round < 8; ++round) {
+    telemetry::RecordStream shuffled = stream;
+    for (std::size_t i = shuffled.size(); i > 1; --i) {
+      std::swap(shuffled[i - 1], shuffled[rng.below(i)]);
+    }
+    EXPECT_EQ(rendered(norm.normalize_stream(shuffled)), rendered(reference))
+        << "round " << round;
+    // In utc order with the same-second records still shuffled: only the
+    // same-second runs are sorted.
+    std::stable_sort(shuffled.begin(), shuffled.end(),
+                     [](const RawRecord& a, const RawRecord& b) {
+                       return a.timestamp < b.timestamp;
+                     });
+    EXPECT_EQ(rendered(norm.normalize_stream(shuffled)), rendered(reference))
+        << "round " << round << ", utc-ordered";
+  }
+}
+
+TEST(Normalizer, RouterAddedAfterConstructionIsAStateError) {
+  t::Network net = small_net();
+  Normalizer norm(net);
+  net.add_router("zzz-late1", net.pops()[0].id, t::RouterRole::kCore,
+                 util::Ipv4Addr::parse("10.255.255.1"));
+  RawRecord raw;
+  raw.source = SourceType::kTacacs;
+  raw.device = "zzz-late1";
+  NormalizedRecord out;
+  EXPECT_THROW(norm.normalize(raw, out), StateError);
 }
 
 // ---- RecordIndex ------------------------------------------------------------

@@ -6,11 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
+#include <utility>
 
 #include "simulation/emitter.h"
 #include "telemetry/records_io.h"
 #include "topology/topo_gen.h"
+#include "util/rng.h"
 #include "util/strings.h"
 
 namespace grca::telemetry {
@@ -109,7 +112,7 @@ TEST(RecordsIo, RoundTripSingle) {
   EXPECT_EQ(back.body, r.body);
   EXPECT_EQ(back.value, r.value);
   EXPECT_EQ(back.true_utc, r.true_utc);
-  EXPECT_EQ(back.attrs.at("prefix"), r.attrs.at("prefix"));
+  EXPECT_EQ(back.attrs, r.attrs);  // "odd" holds both separators
 }
 
 TEST(RecordsIo, RoundTripStream) {
@@ -139,6 +142,118 @@ TEST(RecordsIo, RejectsMalformedLines) {
   EXPECT_THROW(
       from_tsv("syslog\t1\td\tf\tb\t0\t1\tbadattr-without-equals"),
       ParseError);
+  EXPECT_THROW(from_tsv("syslog\t1\td\tf\tb\t0\t1\ta=1;"), ParseError);
+  // Numeric fields must be numbers from end to end; the error names the
+  // field.
+  const std::pair<std::string, std::string> bad_numbers[] = {
+      {"syslog\t12abc\td\tf\tb\t0\t1\t", "timestamp"},
+      {"syslog\t\td\tf\tb\t0\t1\t", "timestamp"},
+      {"syslog\t 12\td\tf\tb\t0\t1\t", "timestamp"},
+      {"syslog\t1.5\td\tf\tb\t0\t1\t", "timestamp"},
+      {"syslog\t99999999999999999999\td\tf\tb\t0\t1\t", "timestamp"},
+      {"syslog\t1\td\tf\tb\t1.5xyz\t1\t", "value"},
+      {"syslog\t1\td\tf\tb\tabc\t1\t", "value"},
+      {"syslog\t1\td\tf\tb\t\t1\t", "value"},
+      {"syslog\t1\td\tf\tb\t0\t7x\t", "true_utc"},
+  };
+  for (const auto& [line, field] : bad_numbers) {
+    try {
+      from_tsv(line);
+      ADD_FAILURE() << "accepted: " << line;
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(RecordsIo, ReadStreamNamesTheBadLine) {
+  std::stringstream ss("# header\n"
+                       "syslog\t1\td\tf\tb\t0\t1\t\n"
+                       "syslog\t1\td\tf\tb\t0\t1x\t\n");
+  try {
+    read_stream(ss);
+    ADD_FAILURE() << "accepted a bad true_utc";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(RecordsIo, AttrSeparatorsRoundTrip) {
+  RawRecord r;
+  r.attrs["a;b"] = "x=y";
+  r.attrs["k=v"] = "a;b";
+  r.attrs["plain"] = "1";
+  r.attrs[""] = "";
+  RawRecord back = from_tsv(to_tsv(r));
+  EXPECT_EQ(back.attrs, r.attrs);
+  // Attrs without separators are written exactly as before.
+  RawRecord plain;
+  plain.attrs["interface"] = "so-0/0/0";
+  plain.attrs["user"] = "ops";
+  EXPECT_EQ(to_tsv(plain),
+            "syslog\t0\t\t\t\t0\t0\tinterface=so-0/0/0;user=ops");
+}
+
+/// A random string over the bytes the TSV format must escape, plus ordinary
+/// ones.
+std::string random_text(util::Rng& rng) {
+  static constexpr char kAlphabet[] = {'\t', '\n', '\\', ';', '=', '#',
+                                       ' ',  'a',  'Z',   '0', 't', 'n'};
+  std::string out(rng.below(8), ' ');
+  for (char& c : out) c = kAlphabet[rng.below(sizeof(kAlphabet))];
+  return out;
+}
+
+/// A value that to_tsv's six significant digits print exactly: either a
+/// special or a decimal with at most six digits in any exponent form.
+double random_value(util::Rng& rng) {
+  static constexpr double kSpecial[] = {
+      0.0, -1.0, 3.25, 1e+20, -2.5e-07, 1e-300,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity()};
+  if (rng.chance(0.3)) return kSpecial[rng.below(std::size(kSpecial))];
+  return std::stod(std::to_string(rng.range(-999999, 999999)) + "e" +
+                   std::to_string(rng.range(-40, 40)));
+}
+
+TEST(RecordsIo, SeededRoundTripProperty) {
+  util::Rng rng(20260517);
+  RecordStream original;
+  for (int i = 0; i < 500; ++i) {
+    RawRecord r;
+    r.source = static_cast<SourceType>(
+        rng.below(static_cast<int>(SourceType::kWorkflowLog) + 1));
+    r.timestamp = rng.chance(0.1) ? std::numeric_limits<util::TimeSec>::min()
+                                  : rng.range(-4'000'000'000, 4'000'000'000);
+    r.device = random_text(rng);
+    r.field = random_text(rng);
+    r.body = random_text(rng);
+    r.value = random_value(rng);
+    r.true_utc = rng.chance(0.1) ? std::numeric_limits<util::TimeSec>::max()
+                                 : rng.range(-4'000'000'000, 4'000'000'000);
+    for (std::uint64_t n = rng.below(4); n > 0; --n) {
+      r.attrs[random_text(rng)] = random_text(rng);
+    }
+    original.push_back(std::move(r));
+  }
+  auto expect_same = [](const RawRecord& a, const RawRecord& b) {
+    EXPECT_EQ(a.source, b.source);
+    EXPECT_EQ(a.timestamp, b.timestamp);
+    EXPECT_EQ(a.device, b.device);
+    EXPECT_EQ(a.field, b.field);
+    EXPECT_EQ(a.body, b.body);
+    EXPECT_EQ(a.value, b.value);
+    EXPECT_EQ(a.true_utc, b.true_utc);
+    EXPECT_EQ(a.attrs, b.attrs);
+  };
+  for (const RawRecord& r : original) expect_same(from_tsv(to_tsv(r)), r);
+  std::stringstream ss;
+  write_stream(ss, original);
+  RecordStream back = read_stream(ss);
+  ASSERT_EQ(back.size(), original.size());
+  for (std::size_t i = 0; i < back.size(); ++i) expect_same(back[i], original[i]);
 }
 
 TEST(RecordsIo, SourceNamesRoundTrip) {
