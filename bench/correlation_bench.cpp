@@ -8,10 +8,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <cmath>
-#include <span>
-
 #include "core/correlation.h"
 #include "util/rng.h"
 
@@ -27,73 +23,6 @@ core::EventSeries random_series(std::size_t n, double rate, util::Rng& rng) {
     if (rng.chance(rate)) s.values[i] = 1.0;
   }
   return s;
-}
-
-// ---- Legacy kernel baseline -------------------------------------------------
-// The pre-hoist circular_pearson recomputed the lag normalization and the
-// modulo for every element; the shipped kernel folds both into a constant
-// offset plus an increment-with-wrap. This copy of the old kernel (and the
-// permutation-test driver built on it) quantifies what the hoist bought.
-
-double circular_pearson_legacy(std::span<const double> a,
-                               std::span<const double> b, std::size_t shift,
-                               int lag) {
-  const std::size_t n = a.size();
-  double sa = 0, sb = 0;
-  for (double v : a) sa += v;
-  for (double v : b) sb += v;
-  double ma = sa / n, mb = sb / n;
-  double cov = 0, va = 0, vb = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::size_t j =
-        (i + shift + n +
-         static_cast<std::size_t>(lag % static_cast<int>(n) + n)) % n;
-    double da = a[i] - ma;
-    double db = b[j] - mb;
-    cov += da * db;
-    va += da * da;
-    vb += db * db;
-  }
-  if (va <= 0.0 || vb <= 0.0) return 0.0;
-  return cov / std::sqrt(va * vb);
-}
-
-double best_lag_score_legacy(std::span<const double> a,
-                             std::span<const double> b, std::size_t shift,
-                             int lag_slack) {
-  double best = -2.0;
-  for (int lag = -lag_slack; lag <= lag_slack; ++lag) {
-    best = std::max(best, circular_pearson_legacy(a, b, shift, lag));
-  }
-  return best;
-}
-
-/// The permutation test exactly as nice_test runs it, on the legacy kernel.
-core::CorrelationResult nice_test_legacy(const core::EventSeries& a,
-                                         const core::EventSeries& b,
-                                         const core::NiceParams& params,
-                                         util::Rng& rng) {
-  const std::size_t n = a.values.size();
-  core::CorrelationResult result;
-  if (n < 4) return result;
-  result.score = best_lag_score_legacy(a.values, b.values, 0, params.lag_slack);
-  if (result.score <= 0.0) {
-    result.p_value = 1.0;
-    return result;
-  }
-  int at_least = 0;
-  for (int p = 0; p < params.permutations; ++p) {
-    std::size_t shift =
-        1 + params.lag_slack +
-        rng.below(n - 2 * (1 + static_cast<std::size_t>(params.lag_slack)));
-    double s = best_lag_score_legacy(a.values, b.values, shift,
-                                     params.lag_slack);
-    if (s >= result.score) ++at_least;
-  }
-  result.p_value = (at_least + 1.0) / (params.permutations + 1.0);
-  result.significant =
-      result.p_value < params.alpha && result.score >= params.min_score;
-  return result;
 }
 
 void BM_NiceTest(benchmark::State& state) {
@@ -115,33 +44,6 @@ BENCHMARK(BM_NiceTest)
     ->Args({30000, 100})
     ->Args({10000, 200})
     ->Args({10000, 500})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_NiceTestLegacy(benchmark::State& state) {
-  util::Rng rng(5);
-  std::size_t n = static_cast<std::size_t>(state.range(0));
-  core::EventSeries a = random_series(n, 0.05, rng);
-  core::EventSeries b = random_series(n, 0.05, rng);
-  core::NiceParams params;
-  params.permutations = static_cast<int>(state.range(1));
-  // Same seeds and driver as BM_NiceTest: the only variable is the kernel.
-  util::Rng check_a(6), check_b(6);
-  core::CorrelationResult ours = core::nice_test(a, b, params, check_a);
-  core::CorrelationResult legacy = nice_test_legacy(a, b, params, check_b);
-  if (ours.score != legacy.score || ours.p_value != legacy.p_value) {
-    state.SkipWithError("hoisted kernel diverged from legacy kernel");
-    return;
-  }
-  util::Rng test_rng(6);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(nice_test_legacy(a, b, params, test_rng));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_NiceTestLegacy)
-    ->Args({1000, 100})
-    ->Args({10000, 100})
-    ->Args({10000, 200})
     ->Unit(benchmark::kMillisecond);
 
 void BM_MakeSeries(benchmark::State& state) {

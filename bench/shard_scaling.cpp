@@ -140,8 +140,7 @@ int main(int argc, char** argv) {
         watermark = std::max(watermark, e.when.start + 1);
       }
     }
-    storage::write_sealed_store(store_dir, fresh.store(), watermark,
-                                storage::SealFormat::kV2);
+    storage::write_sealed_store(store_dir, fresh.store(), watermark);
   }
 
   // Single-process reference over the same persisted store: what `grca
@@ -172,7 +171,6 @@ int main(int argc, char** argv) {
     options.data_dir = data_dir;
     options.store_dir = store_dir;
     options.workers = w;
-    options.mode = shard::Mode::kSlice;
     options.fork_workers = true;  // this binary is not `grca`
     t0 = std::chrono::steady_clock::now();
     shard::ShardReport report = shard::run_sharded(options);

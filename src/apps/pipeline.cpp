@@ -83,10 +83,9 @@ std::vector<core::Diagnosis> Pipeline::diagnose_all(core::DiagnosisGraph graph,
 
 std::vector<core::Diagnosis> Pipeline::diagnose_selected(
     core::DiagnosisGraph graph, std::span<const std::uint32_t> indices,
-    std::vector<core::Location> allowed_locations, unsigned threads) const {
+    unsigned threads) const {
   obs::ScopedSpan span("diagnose");
   core::RcaEngine engine(std::move(graph), events(), mapper_);
-  engine.set_location_filter(std::move(allowed_locations));
   return engine.diagnose_indices(indices, threads);
 }
 

@@ -72,15 +72,10 @@ class Pipeline {
                                             unsigned threads = 0) const;
 
   /// Shard-worker fan-out: diagnoses only the root instances at `indices`
-  /// of the store's root span, optionally restricting spatial joins to
-  /// `allowed_locations` (empty = no filter; see
-  /// RcaEngine::set_location_filter). Result i corresponds to indices[i]
-  /// and is byte-identical to the same symptom's diagnosis in a full
-  /// diagnose_all, provided the filter admits every location the symptom's
-  /// evidence chains can reach (the partitioner's inclusion invariant).
+  /// of the store's root span. Result i corresponds to indices[i] and is
+  /// byte-identical to the same symptom's diagnosis in a full diagnose_all.
   std::vector<core::Diagnosis> diagnose_selected(
       core::DiagnosisGraph graph, std::span<const std::uint32_t> indices,
-      std::vector<core::Location> allowed_locations = {},
       unsigned threads = 0) const;
 
   /// Per-application fan-out: diagnoses several applications' graphs

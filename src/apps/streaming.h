@@ -74,8 +74,6 @@ struct StreamingOptions {
   /// its events are re-derived from the stream.
   std::filesystem::path persist_dir;
   util::TimeSec persist_seal_every = util::kHour;
-  /// On-disk format for sealed segments (the WAL is always v1 frames).
-  storage::SealFormat persist_format = storage::SealFormat::kV2;
 };
 
 class StreamingRca {

@@ -55,6 +55,7 @@ Normalizer::Normalizer(const topology::Network& net,
   for (const topology::Layer1Device& d : net.layer1_devices()) {
     l1_by_name_.emplace(d.name, d.id);
   }
+  l1_snapshot_ = net.layer1_devices().size();
   for (const topology::Router& r : net.routers()) {
     router_by_rank_.push_back(r.name);
   }
@@ -138,7 +139,18 @@ bool Normalizer::resolve(const RawRecord& raw, util::TimeSec& utc,
     }
     case SourceType::kLayer1Log: {
       auto it = l1_by_name_.find(raw.device);
-      if (it == l1_by_name_.end()) return false;
+      if (it == l1_by_name_.end()) {
+        // Miss path only: a device added to the inventory since the
+        // snapshot is a contract violation, not an unknown device.
+        const auto& devices = net_.layer1_devices();
+        for (std::size_t i = l1_snapshot_; i < devices.size(); ++i) {
+          if (devices[i].name == raw.device) {
+            throw StateError("Normalizer: layer-1 device '" + raw.device +
+                             "' was added after the normalizer was built");
+          }
+        }
+        return false;
+      }
       const topology::Layer1Device& d = net_.layer1_device(it->second);
       utc = net_.pop(d.pop).timezone.to_utc(raw.timestamp);
       return true;

@@ -34,8 +34,8 @@ class Normalizer {
 
   /// Normalizes one raw record; returns false (and counts it) when the
   /// record references an unknown device. The inventory is read when the
-  /// Normalizer is built: layer-1 devices and routers added to `net` later
-  /// are not known to it (a record naming such a router throws StateError).
+  /// Normalizer is built: a record naming a router or layer-1 device added
+  /// to `net` after that throws StateError rather than being dropped.
   bool normalize(const telemetry::RawRecord& raw, NormalizedRecord& out) const;
 
   /// Normalizes a stream, dropping unknown-device records. The result is in
@@ -60,6 +60,9 @@ class Normalizer {
 
   const topology::Network& net_;
   util::StringMap<topology::Layer1DeviceId> l1_by_name_;
+  /// Layer-1 devices in `net_` when the normalizer was built; devices past
+  /// this index were added later and are not in l1_by_name_.
+  std::size_t l1_snapshot_ = 0;
   /// RouterId -> 1 + rank of the router's name among all router names, so
   /// comparing ranks orders routers exactly as comparing names does.
   std::vector<std::uint32_t> router_rank_;

@@ -150,7 +150,6 @@ Handshake make_handshake(std::uint32_t index, std::uint32_t attempt,
                          const std::filesystem::path& slice_dir) {
   Handshake h;
   h.study = options.study;
-  h.mode = options.mode;
   h.data_dir = options.data_dir.string();
   h.worker_index = index;
   h.worker_count = options.workers;
@@ -158,19 +157,7 @@ Handshake make_handshake(std::uint32_t index, std::uint32_t attempt,
   h.attempt = attempt;
   h.extra_dsl = options.extra_dsl;
   h.symptom_seqs = partition.shard_seqs[index];
-  // The table snapshot rides along in both modes — kFilter resolves the
-  // allowed ids through it; kSlice workers get it for the same-id guarantee
-  // even though slice diagnosis never consults coordinator ids.
-  h.locations = partition.locations;
-  if (options.mode == Mode::kSlice) {
-    h.store_dir = slice_path(slice_dir, index).string();
-  } else {
-    h.store_dir = options.store_dir.string();
-    const std::vector<std::uint8_t>& mask = partition.inclusion[index];
-    for (std::uint32_t id = 0; id < mask.size(); ++id) {
-      if (mask[id]) h.allowed.push_back(id);
-    }
-  }
+  h.store_dir = slice_path(slice_dir, index).string();
   if (index == options.test_fail_worker) {
     h.fail_after_results = options.test_fail_after;
   }
@@ -181,7 +168,7 @@ Handshake make_handshake(std::uint32_t index, std::uint32_t attempt,
 
 std::string ShardReport::render_status() const {
   std::ostringstream out;
-  out << "shard " << to_string(mode) << " run: " << workers.size()
+  out << "shard run: " << workers.size()
       << " workers, " << symptom_count << " symptoms, " << location_count
       << " locations (" << boundary_locations << " replicated)\n";
   char line[256];
@@ -219,7 +206,6 @@ ShardReport run_sharded(const ShardOptions& options) {
   SigpipeGuard sigpipe;
 
   ShardReport report;
-  report.mode = options.mode;
   report.workers.resize(options.workers);
   for (std::uint32_t w = 0; w < options.workers; ++w) {
     report.workers[w].index = w;
@@ -255,12 +241,9 @@ ShardReport run_sharded(const ShardOptions& options) {
     slice_dir = options.store_dir;
     slice_dir += ".slices";
   }
-  if (options.mode == Mode::kSlice) {
-    const auto t_slice = std::chrono::steady_clock::now();
-    write_slices(pipeline.events(), partition, slice_dir,
-                 options.slice_format);
-    report.slice_seconds = seconds_since(t_slice);
-  }
+  const auto t_slice = std::chrono::steady_clock::now();
+  write_slices(pipeline.events(), partition, slice_dir);
+  report.slice_seconds = seconds_since(t_slice);
 
   // Result slots, keyed by global symptom seq.
   const std::size_t total = partition.symptom_shard.size();
@@ -459,7 +442,7 @@ ShardReport run_sharded(const ShardOptions& options) {
               std::all_of(report.workers.begin(), report.workers.end(),
                           [](const WorkerStatus& w) { return w.ok; });
 
-  if (options.mode == Mode::kSlice && !options.keep_slices) {
+  if (!options.keep_slices) {
     std::error_code ec;
     std::filesystem::remove_all(slice_dir, ec);
   }

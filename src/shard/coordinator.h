@@ -2,8 +2,8 @@
 // SPDX-License-Identifier: MIT
 //
 // The `grca shard` coordinator: partitions the root-symptom stream over N
-// worker processes (each diagnosing off its own mmap'd slice of the
-// persistent store, or the full store behind a location filter), collects
+// worker processes (each diagnosing off its own mmap'd, re-sealed slice of
+// the persistent store), collects
 // their result frames over pipes and reassembles the global diagnosis
 // vector by sequence number — a deterministic merge whose ResultBrowser
 // view is byte-identical to single-process `grca diagnose --store`.
@@ -21,7 +21,6 @@
 #include "core/engine.h"
 #include "shard/partition.h"
 #include "shard/wire.h"
-#include "storage/event_log.h"
 
 namespace grca::shard {
 
@@ -29,12 +28,10 @@ struct ShardOptions {
   std::string study;
   std::filesystem::path data_dir;   // replay corpus (configs + records)
   std::filesystem::path store_dir;  // full persistent store
-  /// Where slice stores go (kSlice mode). Empty = "<store_dir>.slices".
+  /// Where slice stores go. Empty = "<store_dir>.slices".
   std::filesystem::path slice_dir;
   std::uint32_t workers = 8;
   std::uint32_t threads_per_worker = 1;
-  Mode mode = Mode::kSlice;
-  storage::SealFormat slice_format = storage::SealFormat::kV2;
   /// Keep slice stores on disk after the run (debugging with
   /// `grca store inspect`); default removes them.
   bool keep_slices = false;
@@ -84,10 +81,9 @@ struct ShardReport {
   std::uint64_t boundary_locations = 0;
   double partition_skew = 1.0;
   double partition_seconds = 0.0;
-  double slice_seconds = 0.0;   // 0 in filter mode
+  double slice_seconds = 0.0;
   double merge_seconds = 0.0;   // decode + scatter
   double wall_seconds = 0.0;    // whole run
-  Mode mode = Mode::kSlice;
 
   /// The per-worker status table (goes to stderr: it contains wall times,
   /// which must stay off the byte-compared stdout).

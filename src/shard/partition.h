@@ -49,18 +49,18 @@ struct Partition {
   std::string root_event;
 
   /// Every distinct event location, in deterministic order (event names
-  /// sorted, instances in store order) — the coordinator's LocationTable
-  /// snapshot; index == the coordinator LocId the handshake ships.
+  /// sorted, instances in store order); index == the id `inclusion` and
+  /// `location_ids` use.
   std::vector<core::Location> locations;
-  /// Location -> coordinator LocId (the inverse of `locations`).
+  /// Location -> id (the inverse of `locations`).
   std::unordered_map<core::Location, std::uint32_t> location_ids;
 
   /// Per global symptom seq: the owning worker.
   std::vector<std::uint32_t> symptom_shard;
   /// Per worker: its global symptom seqs, ascending.
   std::vector<std::vector<std::uint32_t>> shard_seqs;
-  /// inclusion[w][id] != 0 when worker w's view must contain events at
-  /// coordinator location id.
+  /// inclusion[w][id] != 0 when worker w's slice must contain events at
+  /// location id.
   std::vector<std::vector<std::uint8_t>> inclusion;
 
   /// Locations replicated to every worker (reach = everywhere).
@@ -71,7 +71,7 @@ struct Partition {
   /// max/mean assigned symptoms over non-empty workers (1.0 = perfectly
   /// balanced) — the skew metric src/obs exports.
   double skew() const noexcept;
-  /// The worker owning coordinator location id's events... for tests.
+  /// True when worker w's slice must contain events at `loc` (tests).
   bool included(std::uint32_t worker, const core::Location& loc) const;
 };
 

@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "storage/event_log.h"
+
 namespace grca::shard {
 
 namespace fs = std::filesystem;
@@ -18,8 +20,7 @@ fs::path slice_path(const fs::path& dir, std::uint32_t shard) {
 
 std::vector<SliceStats> write_slices(const core::EventStoreView& store,
                                      const Partition& partition,
-                                     const fs::path& dir,
-                                     storage::SealFormat format) {
+                                     const fs::path& dir) {
   std::vector<std::string> names = store.event_names();
   std::sort(names.begin(), names.end());
   util::TimeSec watermark = 0;
@@ -58,7 +59,7 @@ std::vector<SliceStats> write_slices(const core::EventStoreView& store,
     slice.finalize();
     fs::path out = slice_path(dir, w);
     fs::remove_all(out);
-    storage::write_sealed_store(out, slice, watermark, format);
+    storage::write_sealed_store(out, slice, watermark);
   }
   return stats;
 }

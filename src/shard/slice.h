@@ -16,7 +16,6 @@
 
 #include "core/event_store.h"
 #include "shard/partition.h"
-#include "storage/event_log.h"
 
 namespace grca::shard {
 
@@ -35,7 +34,6 @@ std::filesystem::path slice_path(const std::filesystem::path& dir,
 /// every slice, so slice metadata never depends on the partition.
 std::vector<SliceStats> write_slices(const core::EventStoreView& store,
                                      const Partition& partition,
-                                     const std::filesystem::path& dir,
-                                     storage::SealFormat format);
+                                     const std::filesystem::path& dir);
 
 }  // namespace grca::shard

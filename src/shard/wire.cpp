@@ -42,27 +42,6 @@ FrameType expect_type(ByteReader& in, FrameType want, const char* what) {
   return type;
 }
 
-void put_location(std::vector<std::uint8_t>& out, const core::Location& loc) {
-  out.push_back(static_cast<std::uint8_t>(loc.type));
-  put_string(out, loc.a);
-  put_string(out, loc.b);
-  put_string(out, loc.c);
-}
-
-core::Location read_location(ByteReader& in) {
-  core::Location loc;
-  std::uint8_t type = in.u8();
-  if (type > static_cast<std::uint8_t>(core::LocationType::kRouterPath)) {
-    throw StorageError("shard wire: unknown location type " +
-                       std::to_string(type));
-  }
-  loc.type = static_cast<core::LocationType>(type);
-  loc.a = in.string();
-  loc.b = in.string();
-  loc.c = in.string();
-  return loc;
-}
-
 void put_event(std::vector<std::uint8_t>& out, const core::EventInstance& e) {
   std::vector<std::uint8_t> body;
   storage::encode_event(e, body);
@@ -92,17 +71,6 @@ void ensure_done(const ByteReader& in, const char* what) {
 }
 
 }  // namespace
-
-std::string_view to_string(Mode mode) noexcept {
-  return mode == Mode::kSlice ? "slice" : "filter";
-}
-
-Mode parse_mode(std::string_view text) {
-  if (text == "slice") return Mode::kSlice;
-  if (text == "filter") return Mode::kFilter;
-  throw ConfigError("shard: unknown mode '" + std::string(text) +
-                    "' (expected slice or filter)");
-}
 
 // ---- framing --------------------------------------------------------------
 
@@ -188,7 +156,6 @@ std::vector<std::uint8_t> encode_handshake(const Handshake& h) {
   out.push_back(static_cast<std::uint8_t>(FrameType::kHandshake));
   put_u32(out, h.version);
   put_string(out, h.study);
-  out.push_back(static_cast<std::uint8_t>(h.mode));
   put_string(out, h.data_dir);
   put_string(out, h.store_dir);
   put_u32(out, h.worker_index);
@@ -197,19 +164,11 @@ std::vector<std::uint8_t> encode_handshake(const Handshake& h) {
   put_u32(out, h.attempt);
   put_u32(out, h.fail_after_results);
   put_string(out, h.extra_dsl);
-  put_u32(out, static_cast<std::uint32_t>(h.locations.size()));
-  for (const core::Location& loc : h.locations) put_location(out, loc);
   put_u32(out, static_cast<std::uint32_t>(h.symptom_seqs.size()));
   std::uint32_t prev = 0;
   for (std::uint32_t seq : h.symptom_seqs) {  // ascending: delta-encode
     put_varint(out, seq - prev);
     prev = seq;
-  }
-  put_u32(out, static_cast<std::uint32_t>(h.allowed.size()));
-  core::LocId prev_id = 0;
-  for (core::LocId id : h.allowed) {
-    put_varint(out, id - prev_id);
-    prev_id = id;
   }
   return out;
 }
@@ -225,12 +184,6 @@ Handshake decode_handshake(std::span<const std::uint8_t> payload) {
                        std::to_string(kProtocolVersion) + ")");
   }
   h.study = in.string();
-  std::uint8_t mode = in.u8();
-  if (mode > static_cast<std::uint8_t>(Mode::kFilter)) {
-    throw StorageError("shard wire: unknown mode byte " +
-                       std::to_string(mode));
-  }
-  h.mode = static_cast<Mode>(mode);
   h.data_dir = in.string();
   h.store_dir = in.string();
   h.worker_index = in.u32();
@@ -239,24 +192,12 @@ Handshake decode_handshake(std::span<const std::uint8_t> payload) {
   h.attempt = in.u32();
   h.fail_after_results = in.u32();
   h.extra_dsl = in.string();
-  std::uint32_t locs = in.u32();
-  h.locations.reserve(locs);
-  for (std::uint32_t i = 0; i < locs; ++i) {
-    h.locations.push_back(read_location(in));
-  }
   std::uint32_t seqs = in.u32();
   h.symptom_seqs.reserve(seqs);
   std::uint32_t seq = 0;
   for (std::uint32_t i = 0; i < seqs; ++i) {
     seq += static_cast<std::uint32_t>(in.varint());
     h.symptom_seqs.push_back(seq);
-  }
-  std::uint32_t allowed = in.u32();
-  h.allowed.reserve(allowed);
-  core::LocId id = 0;
-  for (std::uint32_t i = 0; i < allowed; ++i) {
-    id += static_cast<core::LocId>(in.varint());
-    h.allowed.push_back(id);
   }
   ensure_done(in, "handshake");
   return h;

@@ -15,11 +15,9 @@
 // before closing its pipe. A kError frame aborts the worker's stream; EOF
 // without a preceding kStatus marks the worker failed (crashed, killed).
 //
-// The handshake carries the coordinator's LocationTable snapshot in id
-// order. Workers rebuild their allowed-location set from it by *index*, so
-// coordinator and worker LocIds agree by construction — interning is
-// process-local and arrival-order dependent, which is exactly the bug this
-// serialization fixes (see docs/SHARDING.md).
+// No LocId crosses the wire: a worker's store is its own re-sealed slice,
+// and results carry full locations, so process-local interning never has
+// to agree between coordinator and worker (see docs/SHARDING.md).
 #pragma once
 
 #include <cstdint>
@@ -30,25 +28,15 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "core/location.h"
-#include "core/location_table.h"
 
 namespace grca::shard {
 
-inline constexpr std::uint32_t kProtocolVersion = 1;
+/// Bumped on every handshake layout change; decode_handshake refuses any
+/// other version.
+inline constexpr std::uint32_t kProtocolVersion = 2;
 
 /// "No value" marker for optional u32 knobs (test-failure injection).
 inline constexpr std::uint32_t kNoValue = 0xffffffffu;
-
-/// How a worker sees the persistent store.
-enum class Mode : std::uint8_t {
-  kSlice = 0,   // per-shard re-sealed store slice (mmap of its own slice)
-  kFilter = 1,  // mmap of the full store + engine location filter
-};
-
-std::string_view to_string(Mode mode) noexcept;
-/// Parses "slice" / "filter"; throws ConfigError otherwise.
-Mode parse_mode(std::string_view text);
 
 enum class FrameType : std::uint8_t {
   kHandshake = 1,
@@ -93,9 +81,8 @@ std::optional<Frame> read_frame(int fd, FrameBuffer& buffer);
 struct Handshake {
   std::uint32_t version = kProtocolVersion;
   std::string study;                 // "bgp" | "cdn" | "pim" | "innet"
-  Mode mode = Mode::kSlice;
   std::string data_dir;              // the replay corpus (configs + records)
-  std::string store_dir;             // slice dir (kSlice) or full store (kFilter)
+  std::string store_dir;             // this worker's slice store
   std::uint32_t worker_index = 0;
   std::uint32_t worker_count = 1;
   std::uint32_t threads = 1;         // diagnosis threads inside the worker
@@ -105,14 +92,9 @@ struct Handshake {
   /// can prove the deterministic re-merge.
   std::uint32_t fail_after_results = kNoValue;
   std::string extra_dsl;             // concatenated --dsl file contents
-  /// Coordinator LocationTable snapshot, id order (index == LocId).
-  std::vector<core::Location> locations;
   /// Global sequence numbers (indices into the full store's root-symptom
   /// span) assigned to this worker, ascending.
   std::vector<std::uint32_t> symptom_seqs;
-  /// kFilter only: coordinator LocIds whose events this worker may join
-  /// against (its partition plus the replicated boundary set), ascending.
-  std::vector<core::LocId> allowed;
 };
 
 std::vector<std::uint8_t> encode_handshake(const Handshake& h);

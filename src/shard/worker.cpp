@@ -68,45 +68,25 @@ int run_worker(int in_fd, int out_fd) {
       graph.validate();
     }
 
-    // Assigned symptoms. In slice mode the worker's store holds exactly its
-    // shard's root instances, in global-seq order (the slice writer copies
-    // them ascending and the store's stable sort keeps ties put), so local
-    // index i IS assignment i. In filter mode the handshake seqs index the
-    // full store's root span directly.
-    std::vector<std::uint32_t> indices;
-    std::vector<core::Location> allowed;
-    if (h.mode == Mode::kSlice) {
-      std::size_t local = pipeline.events().all(graph.root()).size();
-      if (local != h.symptom_seqs.size()) {
-        throw StateError(
-            "shard worker: slice holds " + std::to_string(local) + " '" +
-            graph.root() + "' symptoms but the coordinator assigned " +
-            std::to_string(h.symptom_seqs.size()) +
-            " (slice/partition mismatch)");
-      }
-      indices.resize(local);
-      std::iota(indices.begin(), indices.end(), 0u);
-    } else {
-      indices = h.symptom_seqs;
-      // The allowed set arrives as coordinator LocIds; resolve them through
-      // the handshake's table snapshot so both processes name the same
-      // locations by construction.
-      allowed.reserve(h.allowed.size());
-      for (core::LocId id : h.allowed) {
-        if (id >= h.locations.size()) {
-          throw StorageError("shard worker: allowed id " +
-                             std::to_string(id) +
-                             " outside the handshake location table");
-        }
-        allowed.push_back(h.locations[id]);
-      }
+    // Assigned symptoms. The worker's store holds exactly its shard's root
+    // instances, in global-seq order (the slice writer copies them
+    // ascending and the store's stable sort keeps ties put), so local index
+    // i IS assignment i.
+    std::size_t local = pipeline.events().all(graph.root()).size();
+    if (local != h.symptom_seqs.size()) {
+      throw StateError(
+          "shard worker: slice holds " + std::to_string(local) + " '" +
+          graph.root() + "' symptoms but the coordinator assigned " +
+          std::to_string(h.symptom_seqs.size()) +
+          " (slice/partition mismatch)");
     }
+    std::vector<std::uint32_t> indices(local);
+    std::iota(indices.begin(), indices.end(), 0u);
     const double load_seconds = seconds_since(t0);
 
     auto t1 = std::chrono::steady_clock::now();
     std::vector<core::Diagnosis> diagnoses = pipeline.diagnose_selected(
-        std::move(graph), indices, std::move(allowed),
-        h.threads == 0 ? 1 : h.threads);
+        std::move(graph), indices, h.threads == 0 ? 1 : h.threads);
     const double diagnose_seconds = seconds_since(t1);
 
     for (std::size_t i = 0; i < diagnoses.size(); ++i) {

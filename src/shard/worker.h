@@ -19,8 +19,8 @@ namespace grca::shard {
 core::DiagnosisGraph study_graph(const std::string& study);
 
 /// Runs a worker: reads the handshake frame from `in_fd`, loads the corpus
-/// and its store view (slice or full, per the handshake), diagnoses its
-/// assigned symptoms and streams result + status frames to `out_fd`.
+/// and its slice store, diagnoses its assigned symptoms and streams result
+/// + status frames to `out_fd`.
 /// Returns the process exit code (0 = status frame sent). Never throws:
 /// failures are reported as a kError frame (best effort) + nonzero return.
 int run_worker(int in_fd, int out_fd);

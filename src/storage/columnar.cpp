@@ -226,7 +226,7 @@ std::vector<std::uint8_t> encode_v2_footer(const V2Footer& footer) {
 namespace {
 
 /// The location-type range accepted when rebuilding the dictionary (same
-/// guard as the v1 row codec).
+/// guard as the WAL row codec).
 constexpr std::uint8_t kMaxLocationType =
     static_cast<std::uint8_t>(core::LocationType::kRouterPath);
 

@@ -86,19 +86,6 @@ group_for_seal(const std::vector<core::EventInstance>& events) {
   return groups;
 }
 
-/// Format dispatch for the three seal sites (writer, batch export,
-/// compaction).
-std::vector<std::uint8_t> encode_sealed(
-    std::uint64_t seq, util::TimeSec watermark,
-    const std::vector<
-        std::pair<std::string, std::vector<const core::EventInstance*>>>&
-        groups,
-    SealFormat format) {
-  return format == SealFormat::kV2
-             ? encode_sealed_segment_v2(seq, watermark, groups)
-             : encode_sealed_segment(seq, watermark, groups);
-}
-
 }  // namespace
 
 std::vector<fs::path> list_segments(const fs::path& dir) {
@@ -117,9 +104,8 @@ std::vector<fs::path> list_segments(const fs::path& dir) {
   return out;
 }
 
-EventLogWriter::EventLogWriter(const fs::path& dir, bool discard_wal,
-                               SealFormat seal_format)
-    : dir_(dir), seal_format_(seal_format) {
+EventLogWriter::EventLogWriter(const fs::path& dir, bool discard_wal)
+    : dir_(dir) {
   fs::create_directories(dir_);
   if (obs::MetricsRegistry* reg = obs::registry_ptr()) {
     bytes_written_ = &reg->counter("grca_storage_bytes_written_total");
@@ -194,7 +180,7 @@ std::optional<std::uint64_t> EventLogWriter::seal(util::TimeSec watermark) {
   obs::ScopedSpan span("store-seal");
   auto groups = group_for_seal(pending_);
   std::vector<std::uint8_t> image =
-      encode_sealed(next_seq_, watermark, groups, seal_format_);
+      encode_sealed_segment_v2(next_seq_, watermark, groups);
   write_atomically(segment_path(dir_, next_seq_), image);
   if (bytes_written_) bytes_written_->inc(image.size());
   if (seals_) seals_->inc();
@@ -209,7 +195,7 @@ std::optional<std::uint64_t> EventLogWriter::seal(util::TimeSec watermark) {
 }
 
 void write_sealed_store(const fs::path& dir, const core::EventStore& store,
-                        util::TimeSec watermark, SealFormat format) {
+                        util::TimeSec watermark, SealFormat) {
   obs::ScopedSpan span("store-seal");
   fs::create_directories(dir);
   // Replace semantics: a store-out directory holds exactly this corpus.
@@ -225,7 +211,8 @@ void write_sealed_store(const fs::path& dir, const core::EventStore& store,
     for (const core::EventInstance& e : bucket) ptrs.push_back(&e);
     groups.emplace_back(name, std::move(ptrs));
   }
-  std::vector<std::uint8_t> image = encode_sealed(1, watermark, groups, format);
+  std::vector<std::uint8_t> image =
+      encode_sealed_segment_v2(1, watermark, groups);
   write_atomically(segment_path(dir, 1), image);
   if (obs::MetricsRegistry* reg = obs::registry_ptr()) {
     reg->counter("grca_storage_bytes_written_total").inc(image.size());
@@ -253,89 +240,12 @@ SealedLoad load_sealed_events(const fs::path& dir) {
 
 namespace {
 
-/// v1 sealed-segment check: every frame decodes, footer/frame agreement
-/// (counts, tiling, ordering, index checkpoints, max durations). v1 frames
-/// are self-describing, so this *is* the full rescan — deep mode adds
-/// nothing for v1.
-void check_sealed_v1(const SegmentReader& seg, VerifyReport& report) {
-  const fs::path& path = seg.path();
-  SegmentReader::Scan scan = seg.scan_frames();
-  report.frames += scan.events.size();
-  if (scan.dropped_bytes != 0) {
-    report.errors.push_back(path.string() + ": corrupt frame at offset " +
-                            std::to_string(scan.valid_bytes));
-    return;
-  }
-  const SegmentFooter& footer = seg.footer();
-  if (scan.events.size() != footer.event_count) {
-    report.errors.push_back(
-        path.string() + ": footer claims " +
-        std::to_string(footer.event_count) + " events, found " +
-        std::to_string(scan.events.size()));
-  }
-  // Footer/frame agreement: runs must tile the frame region in name
-  // order, each sorted by start with consistent index checkpoints.
-  std::uint64_t cursor = kSegmentHeaderBytes;
-  std::size_t event_at = 0;
-  for (std::size_t r = 0; r < footer.runs.size(); ++r) {
-    const NameRun& run = footer.runs[r];
-    std::string where = path.string() + " run '" + run.name + "'";
-    if (r > 0 && !(footer.runs[r - 1].name < run.name)) {
-      report.errors.push_back(where + ": names out of order");
-    }
-    if (run.first_offset != cursor) {
-      report.errors.push_back(where + ": offset " +
-                              std::to_string(run.first_offset) +
-                              " does not tile (expected " +
-                              std::to_string(cursor) + ")");
-      break;
-    }
-    cursor += run.byte_len;
-    util::TimeSec max_duration = 0;
-    util::TimeSec prev_start = std::numeric_limits<util::TimeSec>::min();
-    for (std::uint64_t i = 0; i < run.count; ++i) {
-      if (event_at >= scan.events.size()) break;
-      const core::EventInstance& e = scan.events[event_at++];
-      if (e.name != run.name) {
-        report.errors.push_back(where + ": frame " + std::to_string(i) +
-                                " belongs to '" + e.name + "'");
-        break;
-      }
-      if (e.when.start < prev_start) {
-        report.errors.push_back(where + ": frames out of start order");
-        break;
-      }
-      prev_start = e.when.start;
-      max_duration = std::max(max_duration, e.when.duration());
-      if (i % run.block_frames == 0) {
-        const BlockEntry& block = run.blocks[i / run.block_frames];
-        if (block.first_start != e.when.start) {
-          report.errors.push_back(where + ": index block " +
-                                  std::to_string(i / run.block_frames) +
-                                  " start mismatch");
-          break;
-        }
-      }
-    }
-    if (max_duration != run.max_duration) {
-      report.errors.push_back(where + ": footer max_duration " +
-                              std::to_string(run.max_duration) +
-                              " != observed " +
-                              std::to_string(max_duration));
-    }
-  }
-  if (cursor != seg.frames_end()) {
-    report.errors.push_back(path.string() +
-                            ": runs do not cover the frame region");
-  }
-}
-
-/// v2 sealed-segment check. Normal mode: per-run region CRCs plus a full
+/// Sealed-segment check. Normal mode: per-run region CRCs plus a full
 /// structural decode (every varint bounds-checked, every dictionary id
 /// resolved). Deep mode additionally recomputes the footer statistics —
 /// max durations and every zone map — from the decoded rows.
-void check_sealed_v2(const SegmentReader& seg, VerifyReport& report,
-                     bool deep) {
+void check_sealed(const SegmentReader& seg, VerifyReport& report,
+                  bool deep) {
   const fs::path& path = seg.path();
   const V2Footer& footer = seg.v2_footer();
   std::span<const std::uint8_t> bytes = seg.bytes();
@@ -430,8 +340,8 @@ VerifyReport verify_store(const fs::path& dir, bool deep) {
     }
     report.bytes += seg.size();
     if (!seg.sealed()) {
-      // Only the (always-v1) WAL may be live; a seg-* file without a valid
-      // seal lost its footer to corruption.
+      // Only the WAL may be live; a seg-* file with a live header was
+      // never sealed.
       SegmentReader::Scan scan = seg.scan_frames();
       report.frames += scan.events.size();
       if (path == wal_path) {
@@ -442,18 +352,12 @@ VerifyReport verify_store(const fs::path& dir, bool deep) {
       }
       continue;
     }
-    if (seg.format_version() == kFormatV2) {
-      ++report.v2_segments;
-      check_sealed_v2(seg, report, deep);
-    } else {
-      check_sealed_v1(seg, report);
-    }
+    check_sealed(seg, report, deep);
   }
   return report;
 }
 
-std::optional<std::uint64_t> compact_store(const fs::path& dir,
-                                           SealFormat format) {
+std::optional<std::uint64_t> compact_store(const fs::path& dir) {
   // Collect every event: sealed segments in sequence order, then the WAL's
   // valid prefix. The stable per-(name,start) sort in group_for_seal keeps
   // ties in this collection order, so merged buckets read back in exactly
@@ -495,7 +399,7 @@ std::optional<std::uint64_t> compact_store(const fs::path& dir,
   obs::ScopedSpan span("store-compact");
   auto groups = group_for_seal(events);
   std::vector<std::uint8_t> image =
-      encode_sealed(next_seq, watermark, groups, format);
+      encode_sealed_segment_v2(next_seq, watermark, groups);
   fs::path out_path = segment_path(dir, next_seq);
   write_atomically(out_path, image);
   // Post-compact invariant check *before* any input is removed: re-open
@@ -508,11 +412,7 @@ std::optional<std::uint64_t> compact_store(const fs::path& dir,
     SegmentReader out;
     try {
       out = SegmentReader::open(out_path);
-      if (out.format_version() == kFormatV2) {
-        check_sealed_v2(out, check, /*deep=*/true);
-      } else {
-        check_sealed_v1(out, check);
-      }
+      check_sealed(out, check, /*deep=*/true);
       if (out.sealed_event_count() != events.size()) {
         check.errors.push_back(out_path.string() + ": compacted " +
                                std::to_string(events.size()) +

@@ -49,12 +49,10 @@ class EventLogWriter {
   /// append) or dropped (discard_wal = true — the streaming engine, which
   /// resumes strictly from the last *sealed* segment and re-derives the
   /// tail from its feed). Torn bytes are counted into the
-  /// `grca_storage_recovered_bytes` metric either way. `seal_format`
-  /// selects the on-disk format seal() writes; the WAL itself is always v1
-  /// live frames.
+  /// `grca_storage_recovered_bytes` metric either way. The WAL holds v1
+  /// live frames; seal() writes columnar v2 segments.
   explicit EventLogWriter(const std::filesystem::path& dir,
-                          bool discard_wal = false,
-                          SealFormat seal_format = SealFormat::kV2);
+                          bool discard_wal = false);
 
   /// Write-ahead append: the frame is on the stream (and flushed) before
   /// this returns.
@@ -71,13 +69,11 @@ class EventLogWriter {
   std::size_t pending() const noexcept { return pending_.size(); }
   std::uint64_t bytes_appended() const noexcept { return bytes_appended_; }
   const std::filesystem::path& dir() const noexcept { return dir_; }
-  SealFormat seal_format() const noexcept { return seal_format_; }
 
  private:
   void open_wal_for_append(std::uint64_t at);
 
   std::filesystem::path dir_;
-  SealFormat seal_format_ = SealFormat::kV2;
   std::ofstream wal_;
   std::uint64_t next_seq_ = 1;
   std::vector<core::EventInstance> pending_;
@@ -91,7 +87,8 @@ class EventLogWriter {
 /// Persists a finalized in-memory store as one sealed segment under `dir`
 /// (creating the directory; any existing log there is replaced). This is
 /// the batch path behind `grca simulate --store-out`: buckets are already
-/// grouped and sorted, so the segment is a single ordered pass.
+/// grouped and sorted, so the segment is a single ordered pass. `format`
+/// has a single value (see SealFormat).
 void write_sealed_store(const std::filesystem::path& dir,
                         const core::EventStore& store,
                         util::TimeSec watermark,
@@ -108,20 +105,19 @@ struct SealedLoad {
 SealedLoad load_sealed_events(const std::filesystem::path& dir);
 
 /// Full-sweep integrity check. Normal mode checks every checksum and every
-/// byte's decodability: header CRCs, footer CRCs, every v1 frame CRC, v2
-/// region CRCs, a full structural decode, and footer/data agreement on
-/// counts and tiling (plus ordering and max durations for v1, whose frames
-/// carry no region CRC). A segment file that has lost its seal is an error;
-/// only the WAL may legitimately carry a torn tail (reported, not an
-/// error). Deep mode additionally rescans every sealed segment and
-/// recomputes the footer statistics — per-run max_duration and, for v2,
-/// every zone map (min/max start, location range, name bitmap) — against
-/// the decoded rows, catching stats-only damage that checksums can't (a
-/// bug in a writer, not a bit flip).
+/// byte's decodability: header CRCs, footer CRCs, column-region CRCs, a
+/// full structural decode of every sealed segment, footer/data tiling, and
+/// every WAL frame CRC. A segment file that cannot be opened as a sealed
+/// segment (damaged seal, retired sealed v1 header) is an error; only the
+/// WAL may legitimately carry a torn tail (reported, not an error). Deep
+/// mode additionally rescans every sealed segment and recomputes the footer
+/// statistics — per-run max_duration and every zone map (min/max start,
+/// location range, name bitmap) — against the decoded rows, catching
+/// stats-only damage that checksums can't (a bug in a writer, not a bit
+/// flip).
 struct VerifyReport {
-  std::size_t segments = 0;
-  std::size_t v2_segments = 0;
-  std::uint64_t frames = 0;  // decoded rows (v1 frames or v2 rows)
+  std::size_t segments = 0;  // files checked, the WAL included
+  std::uint64_t frames = 0;  // decoded rows (sealed rows + WAL frames)
   std::uint64_t bytes = 0;
   std::uint64_t torn_wal_bytes = 0;
   bool deep = false;
@@ -132,17 +128,16 @@ struct VerifyReport {
 VerifyReport verify_store(const std::filesystem::path& dir,
                           bool deep = false);
 
-/// Rewrites the log as a single sealed segment (in `format`) containing
-/// every event from every sealed segment plus the WAL's valid prefix, then
+/// Rewrites the log as a single sealed segment containing every event
+/// from every sealed segment plus the WAL's valid prefix, then
 /// removes the inputs. Query results are unchanged (same events, same
 /// order — ties keep segment order); the newest input watermark is carried
 /// over. Before any input is removed, the freshly written segment is
 /// re-opened and deep-checked (footer statistics recomputed from a full
 /// rescan); a mismatch deletes the output and throws, leaving the inputs
-/// untouched. With the default format this doubles as the v1 -> v2
-/// upgrade path. Returns the new segment's sequence number, or nullopt
-/// when the log is empty.
-std::optional<std::uint64_t> compact_store(
-    const std::filesystem::path& dir, SealFormat format = SealFormat::kV2);
+/// untouched; an input that cannot be read (damage, a retired sealed v1
+/// segment) throws before anything is written. Returns the new segment's
+/// sequence number, or nullopt when the log is empty.
+std::optional<std::uint64_t> compact_store(const std::filesystem::path& dir);
 
 }  // namespace grca::storage

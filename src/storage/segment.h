@@ -7,28 +7,23 @@
 // Every segment starts with a fixed checksummed header (magic, format
 // version, kind, sequence number). Two kinds exist:
 //
-//  - LIVE (write-ahead) segments: header + frames in append order, no
-//    footer. A crash can tear the tail; recovery scans frames and keeps the
-//    valid prefix.
-//  - SEALED segments: frames grouped by event name (names in sorted order)
-//    and sorted by start time within each name, followed by a footer that
-//    carries, per name: the byte range of its frames, the instance count,
-//    the maximum instance duration, and a sparse time index — one
-//    (first_start, byte_offset) checkpoint every kIndexBlockFrames frames.
-//    A (name x window) query therefore binary-searches the checkpoint
-//    array in the mapped footer and decodes only the touched blocks. The
-//    footer ends with a fixed trailer (length, CRC32C, magic) so sealing is
-//    detected and validated from the end of the file.
+//  - LIVE (write-ahead) segments, always format v1: header + CRC-framed
+//    rows in append order, no footer. A crash can tear the tail; recovery
+//    scans frames and keeps the valid prefix.
+//  - SEALED segments, always format v2 (columnar, see storage/columnar.h):
+//    the column regions of every name run, then a footer (dictionaries and
+//    zone maps) that ends with a fixed trailer (length, CRC32C, magic), so
+//    the seal is detected and validated from the end of the file.
 //
-// A segment is sealed if and only if its trailer validates; everything else
-// readable is treated as a live segment.
+// The header's version and kind must agree: a v1 sealed header is the
+// retired row-oriented sealed format and is refused, and a v2 header
+// without a validating footer is damage, never a live segment.
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/event.h"
@@ -43,97 +38,54 @@ inline constexpr std::uint16_t kFormatV1 = 1;
 inline constexpr std::uint16_t kFormatV2 = 2;
 inline constexpr std::size_t kSegmentHeaderBytes = 24;
 inline constexpr std::size_t kFooterTrailerBytes = 16;
-/// Frames per sparse-index checkpoint. 64 keeps the index ~1.5% of frame
-/// count while a window query decodes at most (hits + 2*64) frames.
-inline constexpr std::uint32_t kIndexBlockFrames = 64;
 
 enum class SegmentKind : std::uint16_t { kLive = 0, kSealed = 1 };
 
-/// The on-disk format a seal writes. The WAL is always v1 live frames
-/// (row-oriented append is the right shape for a write-ahead log); only
-/// sealed segments are columnar. v2 is the default everywhere; v1 remains
-/// writable for mixed-version tests and downgrade escapes.
-enum class SealFormat : std::uint16_t { kV1 = kFormatV1, kV2 = kFormatV2 };
+/// The on-disk format of sealed segments. v2 is the only one; the enum
+/// remains solely so the perfbench harness's write_sealed_store call, which
+/// names SealFormat::kV2, keeps compiling unchanged until that harness is
+/// next revised.
+enum class SealFormat : std::uint16_t { kV2 = kFormatV2 };
 
-/// Parses "v1"/"v2" (CLI knobs); throws StorageError otherwise.
-SealFormat parse_seal_format(std::string_view text);
-
-/// One sparse-index checkpoint: the start time of the block's first
-/// instance and the absolute file offset of its first frame.
-struct BlockEntry {
-  util::TimeSec first_start = 0;
-  std::uint64_t offset = 0;
-};
-
-/// Footer metadata for one event name's contiguous frame run.
-struct NameRun {
-  std::string name;
-  std::uint64_t first_offset = 0;  // file offset of the first frame
-  std::uint64_t byte_len = 0;      // total frame bytes for this name
-  std::uint64_t count = 0;         // instances
-  util::TimeSec max_duration = 0;  // longest instance (query lower bound)
-  std::uint32_t block_frames = kIndexBlockFrames;
-  std::vector<BlockEntry> blocks;  // ceil(count / block_frames) entries
-};
-
-struct SegmentFooter {
-  util::TimeSec watermark = 0;     // events starting before this are complete
-  std::uint64_t event_count = 0;
-  std::vector<NameRun> runs;       // sorted by name
-};
-
-/// Serialized fixed header for a new segment file. `format_version` is
-/// kFormatV1 for live (WAL) and v1 sealed segments, kFormatV2 for columnar
-/// sealed segments (a v2 live segment is invalid by definition).
+/// Serialized fixed header for a new segment file: kFormatV1 with kLive for
+/// the WAL, kFormatV2 with kSealed for sealed segments. Any other pairing
+/// throws StorageError.
 std::vector<std::uint8_t> encode_segment_header(
     std::uint64_t seq, SegmentKind kind,
     std::uint16_t format_version = kFormatV1);
 
-/// Builds the full byte image of a sealed segment. `groups` must be sorted
-/// by name with each group's instances sorted by start time — the builder
-/// trusts the order (callers: EventLogWriter::seal and the compactor, both
-/// of which sort first).
-std::vector<std::uint8_t> encode_sealed_segment(
-    std::uint64_t seq, util::TimeSec watermark,
-    const std::vector<
-        std::pair<std::string, std::vector<const core::EventInstance*>>>&
-        groups);
-
 /// A mapped, validated segment file. Opening throws StorageError when the
 /// header is damaged (wrong magic, unsupported version, header CRC
-/// mismatch); a damaged or absent *footer* merely makes the segment read as
-/// live. Read-only: never mutates the file.
+/// mismatch), names a retired sealed v1 segment, or is a v2 segment whose
+/// footer does not validate. Read-only: never mutates the file.
 class SegmentReader {
  public:
   static SegmentReader open(const std::filesystem::path& path);
 
   bool sealed() const noexcept { return sealed_; }
   std::uint64_t seq() const noexcept { return seq_; }
-  /// Format version from the header: kFormatV1 or kFormatV2.
+  /// Format version from the header: kFormatV1 (live) or kFormatV2
+  /// (sealed).
   std::uint16_t format_version() const noexcept { return version_; }
   const std::filesystem::path& path() const noexcept { return path_; }
-  /// v1 sealed footer; throws StorageError unless sealed and v1.
-  const SegmentFooter& footer() const;
-  /// v2 sealed footer; throws StorageError unless sealed and v2.
+  /// The sealed footer; throws StorageError unless sealed.
   const V2Footer& v2_footer() const;
-  /// Watermark from whichever footer is present; throws unless sealed.
-  util::TimeSec sealed_watermark() const;
-  /// Event count from whichever footer is present; throws unless sealed.
-  std::uint64_t sealed_event_count() const;
+  /// Footer watermark; throws unless sealed.
+  util::TimeSec sealed_watermark() const { return v2_footer().watermark; }
+  /// Footer event count; throws unless sealed.
+  std::uint64_t sealed_event_count() const {
+    return v2_footer().event_count;
+  }
   std::span<const std::uint8_t> bytes() const noexcept {
     return file_.bytes();
   }
   bool mapped() const noexcept { return file_.mapped(); }
   std::uint64_t size() const noexcept { return file_.size(); }
-  /// File offset one past the frame region (footer start when sealed,
-  /// file end otherwise).
-  std::uint64_t frames_end() const noexcept { return frames_end_; }
 
-  /// Decodes frames sequentially from the header end. Stops cleanly at the
-  /// first invalid frame (the torn tail): `valid_bytes` is the offset of
-  /// that boundary and `dropped_bytes` what follows it. For sealed
-  /// segments a torn tail is impossible by construction, so dropped_bytes
-  /// != 0 there indicates real corruption (verify_store flags it).
+  /// Decodes the frames of a live segment sequentially from the header
+  /// end. Stops cleanly at the first invalid frame (the torn tail):
+  /// `valid_bytes` is the offset of that boundary and `dropped_bytes` what
+  /// follows it. Throws StorageError on a sealed (columnar) segment.
   struct Scan {
     std::vector<core::EventInstance> events;
     std::uint64_t valid_bytes = 0;
@@ -141,11 +93,10 @@ class SegmentReader {
   };
   Scan scan_frames() const;
 
-  /// Every event of a *sealed* segment in stored order, format-agnostic
-  /// (v1: full frame scan; v2: full columnar decode). Unlike scan_frames,
-  /// any damage throws StorageError — a sealed segment has no legitimate
-  /// torn tail. This is the surface compaction and store loading use so
-  /// they never care which format they read.
+  /// Every event of a *sealed* segment in stored order (a full columnar
+  /// decode). Unlike scan_frames, any damage throws StorageError — a
+  /// sealed segment has no legitimate torn tail. Compaction and the
+  /// streaming resume load read sealed segments through this.
   std::vector<core::EventInstance> read_all_events() const;
 
  private:
@@ -155,9 +106,7 @@ class SegmentReader {
   std::uint16_t version_ = kFormatV1;
   SegmentKind kind_ = SegmentKind::kLive;
   bool sealed_ = false;
-  SegmentFooter footer_;
   V2Footer v2_footer_;
-  std::uint64_t frames_end_ = 0;
 };
 
 }  // namespace grca::storage

@@ -87,7 +87,7 @@
 //              [--once] [--public] [--follow] [--rate N[x]|max] [--tick SEC]
 //              [--idle-ticks N] [--alert-rules FILE] [--workers N]
 //              [--persist DIR] [--persist-seal-every SEC]
-//              [--persist-format v1|v2] [--days N] [--symptoms N] [--seed S]
+//              [--days N] [--symptoms N] [--seed S]
 //       Run a diagnosis and serve it over HTTP: GET /metrics (Prometheus
 //       scrape), /api/breakdown, /api/trending, /api/drilldown/{cause},
 //       /api/health, /api/alerts, /healthz. Default (batch) mode runs the
@@ -105,16 +105,14 @@
 //       close.
 //
 //   grca shard --study bgp|cdn|pim|innet --data DIR --store DIR
-//              [--workers N] [--threads N] [--mode slice|filter]
-//              [--slice-dir DIR] [--slice-format v1|v2] [--keep-slices]
+//              [--workers N] [--threads N] [--slice-dir DIR] [--keep-slices]
 //              [--retry-failed] [--dsl FILE]... [--metrics-out FILE]
 //              [--fail-worker N] [--fail-after N]
 //       Sharded multi-process diagnosis: partition the study's symptom
 //       stream by location across N worker processes (forked from this
 //       binary as `grca shard-worker`), each diagnosing off its own
-//       re-sealed slice of the persistent store (--mode slice, default) or
-//       the full store behind a location filter (--mode filter), then merge
-//       the result frames by global sequence number. The breakdown printed
+//       re-sealed slice of the persistent store, then merge the result
+//       frames by global sequence number. The breakdown printed
 //       to stdout is byte-identical to `diagnose --study ... --data DIR
 //       --store DIR` up to the mean-diagnosis-time line; the per-worker
 //       status table goes to stderr. Exits nonzero when any worker fails
@@ -125,17 +123,15 @@
 //
 //   grca store inspect|verify|compact --dir DIR
 //       Operate on a persisted event log. `inspect` prints per-segment
-//       summaries (sequence, format, events, names, watermark, bytes; for
-//       columnar v2 segments also dictionary and zone-map sizes plus
-//       per-name run summaries: rows, blocks, start range, column-region
-//       bytes — the shard-slice debugging view). `verify`
-//       runs the full integrity sweep — header/footer/frame CRCs, v2
-//       column-region CRCs, full structural decode — and exits nonzero on
-//       any corruption; `--deep` additionally recomputes footer statistics
-//       (max durations, v2 zone maps) from a full rescan. `compact` folds
-//       every sealed segment plus the WAL's valid prefix into one segment
-//       (query results unchanged; `--format v1|v2` picks the output
-//       format, default v2 — the v1 -> v2 upgrade path).
+//       summaries (sequence, events, names, watermark, bytes, dictionary
+//       and zone-map sizes plus per-name run summaries: rows, blocks,
+//       start range, column-region bytes — the shard-slice debugging
+//       view). `verify` runs the full integrity sweep — header/footer/frame
+//       CRCs, column-region CRCs, full structural decode — and exits
+//       nonzero on any corruption; `--deep` additionally recomputes footer
+//       statistics (max durations, zone maps) from a full rescan. `compact`
+//       folds every sealed segment plus the WAL's valid prefix into one
+//       segment (query results unchanged).
 //
 //   grca spans --in FILE [--out FILE]
 //       Convert a span JSONL log (from --span-log) into a Chrome trace
@@ -219,7 +215,6 @@ namespace {
   grca dump-library
   grca simulate --study bgp|cdn|pim|innet --out DIR [--days N] [--symptoms N]
                 [--seed S] [--paper-scale] [--store-out DIR]
-                [--store-format v1|v2]
   grca diagnose --study bgp|cdn|pim|innet --data DIR [--dsl FILE]...
                 [--threads N] [--trend] [--score] [--drill CAUSE]
                 [--metrics-out FILE] [--store DIR] [--span-log FILE]
@@ -240,21 +235,20 @@ namespace {
               [--source-lag SEC] [--jitter SEC] [--seed S] [--days N]
               [--symptoms N] [--report-out FILE] [--metrics-out FILE]
               [--min-rate RECORDS_PER_MIN] [--no-truth] [--persist DIR]
-              [--persist-seal-every SEC] [--persist-format v1|v2]
+              [--persist-seal-every SEC]
   grca serve --study bgp|cdn|pim|innet [--data DIR] [--port N]
              [--port-file FILE] [--http-threads N] [--api-dump DIR] [--once]
              [--public] [--follow] [--rate N[x]|max] [--tick SEC]
              [--idle-ticks N] [--alert-rules FILE] [--workers N]
-             [--persist DIR] [--persist-seal-every SEC]
-             [--persist-format v1|v2] [--days N] [--symptoms N] [--seed S]
+             [--persist DIR] [--persist-seal-every SEC] [--days N]
+             [--symptoms N] [--seed S]
   grca shard --study bgp|cdn|pim|innet --data DIR --store DIR [--workers N]
-             [--threads N] [--mode slice|filter] [--slice-dir DIR]
-             [--slice-format v1|v2] [--keep-slices] [--retry-failed]
+             [--threads N] [--slice-dir DIR] [--keep-slices] [--retry-failed]
              [--dsl FILE]... [--metrics-out FILE] [--fail-worker N]
              [--fail-after N]
   grca store inspect --dir DIR
   grca store verify --dir DIR [--deep]
-  grca store compact --dir DIR [--format v1|v2]
+  grca store compact --dir DIR
   grca spans --in FILE [--out FILE]
   grca benchmark [--topology FILE]... [--topo-dir DIR] [--scenarios LIST]
                  [--days N] [--symptoms N] [--seed S] [--threads N]
@@ -445,9 +439,7 @@ int cmd_simulate(const Args& args) {
         watermark = std::max(watermark, e.when.start + 1);
       }
     }
-    storage::SealFormat format =
-        storage::parse_seal_format(args.get("store-format", "v2"));
-    storage::write_sealed_store(store_dir, store, watermark, format);
+    storage::write_sealed_store(store_dir, store, watermark);
     std::cout << "persisted " << store.total_instances() << " events ("
               << store.event_names().size() << " names) to "
               << store_dir.string() << "\n";
@@ -660,8 +652,6 @@ int cmd_replay(const Args& args) {
     opt.stream.persist_dir = fs::path(it->second.back());
     opt.stream.persist_seal_every =
         args.get_long("persist-seal-every", util::kHour);
-    opt.stream.persist_format =
-        storage::parse_seal_format(args.get("persist-format", "v2"));
   }
 
   apps::FeedReplayer replayer(corpus->network, opt);
@@ -817,8 +807,6 @@ int cmd_serve(const Args& args) {
     sopt.persist_dir = fs::path(it->second.back());
     sopt.persist_seal_every =
         args.get_long("persist-seal-every", util::kHour);
-    sopt.persist_format =
-        storage::parse_seal_format(args.get("persist-format", "v2"));
   }
   apps::StreamingRca stream(corpus->network, std::move(graph), sopt);
 
@@ -936,12 +924,9 @@ int cmd_shard(const Args& args) {
   long threads = args.get_long("threads", 1);
   if (threads < 1) usage("--threads must be >= 1");
   options.threads_per_worker = static_cast<std::uint32_t>(threads);
-  options.mode = shard::parse_mode(args.get("mode", "slice"));
   if (auto it = args.values.find("slice-dir"); it != args.values.end()) {
     options.slice_dir = fs::path(it->second.back());
   }
-  options.slice_format =
-      storage::parse_seal_format(args.get("slice-format", "v2"));
   options.keep_slices = args.flags.count("keep-slices") > 0;
   options.retry_failed = args.flags.count("retry-failed") > 0;
   if (auto it = args.values.find("dsl"); it != args.values.end()) {
@@ -990,8 +975,8 @@ int cmd_store(const std::string& action, const Args& args) {
   if (action == "verify") {
     bool deep = args.flags.count("deep") > 0;
     storage::VerifyReport report = storage::verify_store(dir, deep);
-    std::cout << "verified " << report.segments << " segment file(s) ("
-              << report.v2_segments << " columnar), " << report.frames
+    std::cout << "verified " << report.segments << " segment file(s), "
+              << report.frames
               << " row(s), " << report.bytes << " byte(s)"
               << (deep ? ", deep stats rescan" : "") << "\n";
     if (report.torn_wal_bytes > 0) {
@@ -1009,16 +994,13 @@ int cmd_store(const std::string& action, const Args& args) {
     return 0;
   }
   if (action == "compact") {
-    storage::SealFormat format =
-        storage::parse_seal_format(args.get("format", "v2"));
-    std::optional<std::uint64_t> seq = storage::compact_store(dir, format);
+    std::optional<std::uint64_t> seq = storage::compact_store(dir);
     if (!seq) {
       std::cout << "nothing to compact in " << dir.string() << "\n";
       return 0;
     }
     std::cout << "compacted " << dir.string() << " into segment " << *seq
-              << " (" << (format == storage::SealFormat::kV2 ? "v2" : "v1")
-              << ")\n";
+              << "\n";
     return 0;
   }
   if (action == "inspect") {
@@ -1035,7 +1017,7 @@ int cmd_store(const std::string& action, const Args& args) {
       std::cout << path.filename().string() << ": seq " << seg.seq() << ", "
                 << seg.size() << " bytes, "
                 << (seg.mapped() ? "mapped" : "heap") << ", ";
-      if (seg.sealed() && seg.format_version() == storage::kFormatV2) {
+      if (seg.sealed()) {
         const storage::V2Footer& footer = seg.v2_footer();
         total_events += footer.event_count;
         std::size_t zone_maps = 0;
@@ -1065,12 +1047,6 @@ int cmd_store(const std::string& action, const Args& args) {
                     << ", durations " << run.durs_len << ", locations "
                     << run.locs_len << ", attrs " << run.attrs_len << ")\n";
         }
-      } else if (seg.sealed()) {
-        const storage::SegmentFooter& footer = seg.footer();
-        total_events += footer.event_count;
-        std::cout << "sealed v1: " << footer.event_count << " events across "
-                  << footer.runs.size() << " names, watermark "
-                  << footer.watermark << "\n";
       } else {
         storage::SegmentReader::Scan scan = seg.scan_frames();
         total_events += scan.events.size();

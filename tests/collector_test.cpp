@@ -186,6 +186,23 @@ TEST(Normalizer, RouterAddedAfterConstructionIsAStateError) {
   EXPECT_THROW(norm.normalize(raw, out), StateError);
 }
 
+TEST(Normalizer, Layer1DeviceAddedAfterConstructionIsAStateError) {
+  t::Network net = small_net();
+  Normalizer norm(net);
+  net.add_layer1_device("zzz-late-oxc", t::Layer1Kind::kOpticalMesh,
+                        net.pops()[0].id);
+  RawRecord raw;
+  raw.source = SourceType::kLayer1Log;
+  raw.device = "zzz-late-oxc";
+  raw.timestamp = 100;
+  NormalizedRecord out;
+  EXPECT_THROW(norm.normalize(raw, out), StateError);
+  // A name that is in no inventory is still an unknown device: dropped.
+  raw.device = "never-inventoried";
+  EXPECT_FALSE(norm.normalize(raw, out));
+  EXPECT_EQ(norm.dropped(), 1u);
+}
+
 // ---- RecordIndex ------------------------------------------------------------
 
 TEST(RecordIndex, RouterWindowQuery) {

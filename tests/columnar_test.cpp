@@ -6,8 +6,8 @@
 // off, with the skip counters proving pruning actually ran), an exhaustive
 // single-bit corruption sweep (every flipped bit must fail verification
 // cleanly — no crash, no silent acceptance), footer-statistic drift that
-// only --deep verification can catch, and the v1 <-> v2 compaction
-// upgrade/downgrade paths.
+// only --deep verification can catch, and compaction's row-order
+// preservation.
 
 #include <gtest/gtest.h>
 
@@ -139,7 +139,7 @@ TEST(ColumnarSegment, RoundTripsEveryRowInStoredOrder) {
   util::TimeSec watermark = 0;
   core::EventStore mem = build_store(rng, 500, 6, 12, watermark);
   TempDir dir("rt");
-  write_sealed_store(dir.path, mem, watermark, SealFormat::kV2);
+  write_sealed_store(dir.path, mem, watermark);
 
   auto segments = list_segments(dir.path);
   ASSERT_EQ(segments.size(), 1u);
@@ -181,7 +181,7 @@ TEST(ColumnarSegment, ZonePruningOnAndOffAnswerIdentically) {
   util::TimeSec watermark = 0;
   core::EventStore mem = build_store(rng, 3000, 5, 20, watermark);
   TempDir dir("zp");
-  write_sealed_store(dir.path, mem, watermark, SealFormat::kV2);
+  write_sealed_store(dir.path, mem, watermark);
 
   PersistentEventStore pruned = PersistentEventStore::open(dir.path);
   PersistentEventStore scanned = PersistentEventStore::open(dir.path);
@@ -221,7 +221,7 @@ TEST(ColumnarSegment, EveryBitFlipFailsVerificationCleanly) {
   util::TimeSec watermark = 0;
   core::EventStore mem = build_store(rng, 12, 3, 4, watermark);
   TempDir dir("flip");
-  write_sealed_store(dir.path, mem, watermark, SealFormat::kV2);
+  write_sealed_store(dir.path, mem, watermark);
   auto segments = list_segments(dir.path);
   ASSERT_EQ(segments.size(), 1u);
   const fs::path seg_path = segments.front();
@@ -283,7 +283,7 @@ TEST(ColumnarSegment, DeepVerifyCatchesMaxDurationDrift) {
   util::TimeSec watermark = 0;
   core::EventStore mem = build_store(rng, 100, 2, 6, watermark);
   TempDir dir("deep");
-  write_sealed_store(dir.path, mem, watermark, SealFormat::kV2);
+  write_sealed_store(dir.path, mem, watermark);
   auto segments = list_segments(dir.path);
   ASSERT_EQ(segments.size(), 1u);
 
@@ -305,7 +305,7 @@ TEST(ColumnarSegment, DeepVerifyCatchesZoneMapDrift) {
   util::TimeSec watermark = 0;
   core::EventStore mem = build_store(rng, 100, 2, 6, watermark);
   TempDir dir("zone");
-  write_sealed_store(dir.path, mem, watermark, SealFormat::kV2);
+  write_sealed_store(dir.path, mem, watermark);
   auto segments = list_segments(dir.path);
   ASSERT_EQ(segments.size(), 1u);
 
@@ -325,40 +325,33 @@ TEST(ColumnarSegment, DeepVerifyCatchesZoneMapDrift) {
 
 // ------------------------------------------------------------- compaction --
 
-TEST(ColumnarSegment, CompactionUpgradesV1ToV2AndBack) {
+// Compacting a single sealed segment rewrites it as a new segment holding
+// the same rows in the same order under the same watermark — and doing it
+// again is a fixed point.
+TEST(ColumnarSegment, CompactionRewritesRowsInStoredOrder) {
   util::Rng rng(0xC07);
   util::TimeSec watermark = 0;
   core::EventStore mem = build_store(rng, 800, 4, 10, watermark);
-  TempDir dir("upgrade");
-  write_sealed_store(dir.path, mem, watermark, SealFormat::kV1);
-  {
-    PersistentEventStore v1 = PersistentEventStore::open(dir.path);
-    EXPECT_EQ(v1.stats().v2_segments, 0u);
-  }
+  TempDir dir("compact");
+  write_sealed_store(dir.path, mem, watermark);
 
-  // v1 -> v2 (the default): same events, same order, deep-verified.
-  ASSERT_TRUE(compact_store(dir.path).has_value());
-  PersistentEventStore v2 = PersistentEventStore::open(dir.path);
-  EXPECT_EQ(v2.stats().sealed_segments, 1u);
-  EXPECT_EQ(v2.stats().v2_segments, 1u);
-  EXPECT_EQ(v2.watermark(), watermark);
-  EXPECT_TRUE(verify_store(dir.path, /*deep=*/true).ok());
-  for (const std::string& name : mem.event_names()) {
-    auto want = mem.all(name);
-    auto got = v2.all(name);
-    ASSERT_EQ(got.size(), want.size()) << name;
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      ASSERT_EQ(got[i], want[i]) << name << "[" << i << "]";
+  for (std::uint64_t want_seq : {2u, 3u}) {
+    ASSERT_EQ(compact_store(dir.path), want_seq);
+    ASSERT_EQ(list_segments(dir.path).size(), 1u);
+    PersistentEventStore store = PersistentEventStore::open(dir.path);
+    EXPECT_EQ(store.stats().sealed_segments, 1u);
+    EXPECT_EQ(store.watermark(), watermark);
+    EXPECT_EQ(store.total_instances(), mem.total_instances());
+    EXPECT_TRUE(verify_store(dir.path, /*deep=*/true).ok());
+    for (const std::string& name : mem.event_names()) {
+      auto want = mem.all(name);
+      auto got = store.all(name);
+      ASSERT_EQ(got.size(), want.size()) << name;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(got[i], want[i]) << name << "[" << i << "]";
+      }
     }
   }
-
-  // v2 -> v1 (downgrade stays supported for mixed-version fleets).
-  ASSERT_TRUE(compact_store(dir.path, SealFormat::kV1).has_value());
-  PersistentEventStore back = PersistentEventStore::open(dir.path);
-  EXPECT_EQ(back.stats().v2_segments, 0u);
-  EXPECT_EQ(back.watermark(), watermark);
-  EXPECT_TRUE(verify_store(dir.path, /*deep=*/true).ok());
-  EXPECT_EQ(back.total_instances(), mem.total_instances());
 }
 
 }  // namespace

@@ -2,10 +2,14 @@
 // SPDX-License-Identifier: MIT
 //
 // Tests for the NICE-style Correlation Tester: series construction, the
-// circular-permutation significance test, autocorrelation robustness, and
-// candidate screening.
+// circular-permutation significance test (checked exactly against a naive
+// reference kernel), autocorrelation robustness, and candidate screening.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <span>
 
 #include "core/correlation.h"
 
@@ -194,6 +198,97 @@ TEST_P(NiceStrengthSweep, ScoreGrowsWithCoupling) {
 
 INSTANTIATE_TEST_SUITE_P(Couplings, NiceStrengthSweep,
                          ::testing::Values(0.7, 0.8, 0.9, 1.0));
+
+// ---- reference kernel -------------------------------------------------
+// The naive circular Pearson: lag normalization and the modulo recomputed
+// for every element. The shipped kernel hoists both into a constant offset
+// plus an increment-with-wrap; it must give bit-identical scores and
+// p-values, because it sums the same terms in the same order.
+
+double circular_pearson_reference(std::span<const double> a,
+                                  std::span<const double> b,
+                                  std::size_t shift, int lag) {
+  const std::size_t n = a.size();
+  double sa = 0, sb = 0;
+  for (double v : a) sa += v;
+  for (double v : b) sb += v;
+  double ma = sa / n, mb = sb / n;
+  double cov = 0, va = 0, vb = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::size_t j =
+        (i + shift + n +
+         static_cast<std::size_t>(lag % static_cast<int>(n) + n)) % n;
+    double da = a[i] - ma;
+    double db = b[j] - mb;
+    cov += da * db;
+    va += da * da;
+    vb += db * db;
+  }
+  if (va <= 0.0 || vb <= 0.0) return 0.0;
+  return cov / std::sqrt(va * vb);
+}
+
+double best_lag_score_reference(std::span<const double> a,
+                                std::span<const double> b, std::size_t shift,
+                                int lag_slack) {
+  double best = -2.0;
+  for (int lag = -lag_slack; lag <= lag_slack; ++lag) {
+    best = std::max(best, circular_pearson_reference(a, b, shift, lag));
+  }
+  return best;
+}
+
+/// The permutation test exactly as nice_test runs it, on the naive kernel.
+CorrelationResult nice_test_reference(const EventSeries& a,
+                                      const EventSeries& b,
+                                      const NiceParams& params,
+                                      util::Rng& rng) {
+  const std::size_t n = a.values.size();
+  CorrelationResult result;
+  if (n < 4) return result;
+  result.score =
+      best_lag_score_reference(a.values, b.values, 0, params.lag_slack);
+  if (result.score <= 0.0) {
+    result.p_value = 1.0;
+    return result;
+  }
+  int at_least = 0;
+  for (int p = 0; p < params.permutations; ++p) {
+    std::size_t shift =
+        1 + params.lag_slack +
+        rng.below(n - 2 * (1 + static_cast<std::size_t>(params.lag_slack)));
+    double s = best_lag_score_reference(a.values, b.values, shift,
+                                        params.lag_slack);
+    if (s >= result.score) ++at_least;
+  }
+  result.p_value = (at_least + 1.0) / (params.permutations + 1.0);
+  result.significant =
+      result.p_value < params.alpha && result.score >= params.min_score;
+  return result;
+}
+
+TEST(Nice, MatchesReferenceKernelExactly) {
+  util::Rng rng(30);
+  for (int n : {16, 500, 3000}) {
+    for (int lag_slack : {0, 1, 3}) {
+      for (double follow : {0.0, 0.6, 1.0}) {
+        SeriesPair p = correlated_pair(rng, n, 0.1, follow);
+        NiceParams params;
+        params.lag_slack = lag_slack;
+        params.permutations = 40;
+        util::Rng ours_rng(31), ref_rng(31);
+        CorrelationResult ours = nice_test(p.a, p.b, params, ours_rng);
+        CorrelationResult ref = nice_test_reference(p.a, p.b, params, ref_rng);
+        SCOPED_TRACE("n=" + std::to_string(n) + " lag_slack=" +
+                     std::to_string(lag_slack) + " follow=" +
+                     std::to_string(follow));
+        EXPECT_EQ(ours.score, ref.score);
+        EXPECT_EQ(ours.p_value, ref.p_value);
+        EXPECT_EQ(ours.significant, ref.significant);
+      }
+    }
+  }
+}
 
 // ---- miner edge cases -------------------------------------------------
 

@@ -3,9 +3,8 @@
 //
 // Tests for the sharded multi-process diagnosis subsystem: FNV-1a vectors,
 // wire-frame and codec round-trips (corruption rejection included),
-// partition determinism and the inclusion invariant, slice-mode and
-// filter-mode byte-identity against single-process diagnosis, the
-// LocationTable handshake-snapshot regression, worker-failure reporting
+// partition determinism and the inclusion invariant, byte-identity of
+// sharded runs against single-process diagnosis, worker-failure reporting
 // and the --retry-failed deterministic re-merge.
 
 #include <gtest/gtest.h>
@@ -21,7 +20,6 @@
 
 #include "apps/bgp_flap_app.h"
 #include "apps/pipeline.h"
-#include "core/location_table.h"
 #include "shard/coordinator.h"
 #include "shard/partition.h"
 #include "shard/slice.h"
@@ -128,8 +126,7 @@ struct ShardFixture {
         watermark = std::max(watermark, e.when.start + 1);
       }
     }
-    storage::write_sealed_store(store_dir, fresh.store(), watermark,
-                                storage::SealFormat::kV2);
+    storage::write_sealed_store(store_dir, fresh.store(), watermark);
 
     auto store = std::make_shared<storage::PersistentEventStore>(
         storage::PersistentEventStore::open(store_dir));
@@ -138,13 +135,12 @@ struct ShardFixture {
         fingerprints(persisted.diagnose_all(apps::bgp::build_graph(), 1));
   }
 
-  ShardOptions options(std::uint32_t workers, Mode mode) const {
+  ShardOptions options(std::uint32_t workers) const {
     ShardOptions o;
     o.study = "bgp";
     o.data_dir = data_dir;
     o.store_dir = store_dir;
     o.workers = workers;
-    o.mode = mode;
     o.fork_workers = true;  // the test binary is not `grca`
     return o;
   }
@@ -225,7 +221,6 @@ TEST(Wire, CorruptFrameRejected) {
 TEST(Wire, HandshakeRoundTrip) {
   Handshake h;
   h.study = "bgp";
-  h.mode = Mode::kFilter;
   h.data_dir = "/tmp/data";
   h.store_dir = "/tmp/store";
   h.worker_index = 2;
@@ -234,15 +229,11 @@ TEST(Wire, HandshakeRoundTrip) {
   h.attempt = 1;
   h.fail_after_results = 17;
   h.extra_dsl = "event x at router\n";
-  h.locations = {core::Location::router("r1"),
-                 core::Location::logical_link("r1--r2"),
-                 core::Location::pop("POP1")};
   h.symptom_seqs = {0, 5, 6, 300};
-  h.allowed = {0, 2};
 
-  Handshake back = decode_handshake(encode_handshake(h));
+  const std::vector<std::uint8_t> wire = encode_handshake(h);
+  Handshake back = decode_handshake(wire);
   EXPECT_EQ(back.study, h.study);
-  EXPECT_EQ(back.mode, Mode::kFilter);
   EXPECT_EQ(back.data_dir, h.data_dir);
   EXPECT_EQ(back.store_dir, h.store_dir);
   EXPECT_EQ(back.worker_index, 2u);
@@ -251,9 +242,22 @@ TEST(Wire, HandshakeRoundTrip) {
   EXPECT_EQ(back.attempt, 1u);
   EXPECT_EQ(back.fail_after_results, 17u);
   EXPECT_EQ(back.extra_dsl, h.extra_dsl);
-  EXPECT_EQ(back.locations, h.locations);
   EXPECT_EQ(back.symptom_seqs, h.symptom_seqs);
-  EXPECT_EQ(back.allowed, h.allowed);
+
+  // Every decode is bounds-checked: truncations and trailing bytes throw,
+  // and a handshake from another protocol version is refused.
+  for (std::size_t len = 0; len < wire.size(); ++len) {
+    EXPECT_THROW(decode_handshake(std::span<const std::uint8_t>(
+                     wire.data(), len)),
+                 StorageError)
+        << "prefix of " << len << " bytes decoded";
+  }
+  std::vector<std::uint8_t> longer = wire;
+  longer.push_back(0);
+  EXPECT_THROW(decode_handshake(longer), StorageError);
+  Handshake old = h;
+  old.version = kProtocolVersion - 1;
+  EXPECT_THROW(decode_handshake(encode_handshake(old)), StorageError);
 }
 
 TEST(Wire, ResultRoundTripPreservesInstanceSharing) {
@@ -360,39 +364,6 @@ TEST(Partition, ZeroWorkersThrows) {
                ConfigError);
 }
 
-// ---- LocationTable handshake regression -----------------------------------
-
-// Interning is process-local and arrival-order dependent: two tables that
-// see the same locations in different orders issue different ids. The
-// handshake therefore ships the coordinator's snapshot, and workers
-// resolve ids by index into it — never through their own table. This test
-// pins both halves: the divergence that makes raw-id exchange wrong, and
-// the snapshot round-trip that makes the handshake exchange right.
-TEST(LocationTableHandshake, WorkerResolvesCoordinatorIdsByConstruction) {
-  core::Location l1 = core::Location::router("r1");
-  core::Location l2 = core::Location::pop("POP1");
-  core::LocationTable coordinator_table;
-  core::LocationTable worker_table;
-  coordinator_table.intern(l1);
-  coordinator_table.intern(l2);
-  worker_table.intern(l2);  // reversed arrival order
-  worker_table.intern(l1);
-  // The bug being regressed: the same location, different raw ids.
-  EXPECT_NE(coordinator_table.find(l1), worker_table.find(l1));
-
-  Handshake h;
-  h.study = "bgp";
-  h.locations = coordinator_table.snapshot();
-  h.allowed = {0, 1};
-  Handshake back = decode_handshake(encode_handshake(h));
-  ASSERT_EQ(back.locations.size(), 2u);
-  // Resolution by snapshot index reproduces the coordinator's meaning of
-  // each id regardless of the worker's own interning order.
-  for (core::LocId id : back.allowed) {
-    EXPECT_EQ(back.locations[id], coordinator_table.at(id));
-  }
-}
-
 // ---- slices ---------------------------------------------------------------
 
 TEST(Slice, SliceHoldsAssignedSymptomsInGlobalOrder) {
@@ -401,7 +372,7 @@ TEST(Slice, SliceHoldsAssignedSymptomsInGlobalOrder) {
   Partition partition = partition_symptoms(px.pipeline->events(), root,
                                            px.pipeline->mapper(), 4);
   fs::path dir = px.tmp.path / "slices";
-  write_slices(px.pipeline->events(), partition, dir, storage::SealFormat::kV2);
+  write_slices(px.pipeline->events(), partition, dir);
 
   const auto symptoms = px.pipeline->events().all(root);
   for (std::uint32_t w = 0; w < partition.workers; ++w) {
@@ -424,32 +395,28 @@ TEST(Slice, SliceHoldsAssignedSymptomsInGlobalOrder) {
   }
 }
 
-// ---- engine location filter ----------------------------------------------
+// ---- selected-symptom diagnosis -------------------------------------------
 
 TEST(Engine, DiagnoseSelectedMatchesDiagnoseAll) {
   PartitionFixture px;
   auto all = px.pipeline->diagnose_all(apps::bgp::build_graph(), 1);
   std::vector<std::uint32_t> indices(all.size());
   std::iota(indices.begin(), indices.end(), 0u);
-  // No filter: exact per-index equivalence.
   auto selected =
       px.pipeline->diagnose_selected(apps::bgp::build_graph(), indices);
   ASSERT_EQ(selected.size(), all.size());
   for (std::size_t i = 0; i < all.size(); ++i) {
     EXPECT_EQ(fingerprint(selected[i]), fingerprint(all[i]));
   }
-  // Full allowed set (every event location): still exact.
-  std::vector<core::Location> everywhere;
-  px.pipeline->events().warm();
-  for (const std::string& name : px.pipeline->events().event_names()) {
-    for (const core::EventInstance& e : px.pipeline->events().all(name)) {
-      everywhere.push_back(e.where);
-    }
-  }
-  auto filtered = px.pipeline->diagnose_selected(apps::bgp::build_graph(),
-                                                 indices, everywhere);
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    EXPECT_EQ(fingerprint(filtered[i]), fingerprint(all[i]));
+  // Any subset in any order: result i is the diagnosis of indices[i].
+  std::vector<std::uint32_t> odd_reversed;
+  for (std::uint32_t i = 1; i < all.size(); i += 2) odd_reversed.push_back(i);
+  std::reverse(odd_reversed.begin(), odd_reversed.end());
+  auto subset = px.pipeline->diagnose_selected(apps::bgp::build_graph(),
+                                               odd_reversed, 2);
+  ASSERT_EQ(subset.size(), odd_reversed.size());
+  for (std::size_t i = 0; i < subset.size(); ++i) {
+    EXPECT_EQ(fingerprint(subset[i]), fingerprint(all[odd_reversed[i]]));
   }
 }
 
@@ -458,7 +425,7 @@ TEST(Engine, DiagnoseSelectedMatchesDiagnoseAll) {
 TEST(Shard, SliceModeByteIdenticalToSingleProcess) {
   TempDir tmp("slice-mode");
   ShardFixture f(tmp);
-  ShardReport report = run_sharded(f.options(4, Mode::kSlice));
+  ShardReport report = run_sharded(f.options(4));
   ASSERT_TRUE(report.ok);
   EXPECT_EQ(fingerprints(report.diagnoses), f.reference);
   EXPECT_EQ(report.symptom_count, f.reference.size());
@@ -470,18 +437,10 @@ TEST(Shard, SliceModeByteIdenticalToSingleProcess) {
   EXPECT_FALSE(fs::exists(fs::path(f.store_dir.string() + ".slices")));
 }
 
-TEST(Shard, FilterModeByteIdenticalToSingleProcess) {
-  TempDir tmp("filter-mode");
-  ShardFixture f(tmp);
-  ShardReport report = run_sharded(f.options(4, Mode::kFilter));
-  ASSERT_TRUE(report.ok);
-  EXPECT_EQ(fingerprints(report.diagnoses), f.reference);
-}
-
 TEST(Shard, SingleWorkerMatches) {
   TempDir tmp("single");
   ShardFixture f(tmp);
-  ShardReport report = run_sharded(f.options(1, Mode::kSlice));
+  ShardReport report = run_sharded(f.options(1));
   ASSERT_TRUE(report.ok);
   EXPECT_EQ(fingerprints(report.diagnoses), f.reference);
 }
@@ -489,7 +448,7 @@ TEST(Shard, SingleWorkerMatches) {
 TEST(Shard, WorkerFailureReportedWithPerWorkerStatus) {
   TempDir tmp("fail");
   ShardFixture f(tmp);
-  ShardOptions o = f.options(4, Mode::kSlice);
+  ShardOptions o = f.options(4);
   // Fail the busiest worker so the death is mid-stream, not pre-stream.
   ShardReport probe = run_sharded(o);
   ASSERT_TRUE(probe.ok);
@@ -517,7 +476,7 @@ TEST(Shard, WorkerFailureReportedWithPerWorkerStatus) {
 TEST(Shard, RetryFailedRemergesByteIdentically) {
   TempDir tmp("retry");
   ShardFixture f(tmp);
-  ShardOptions o = f.options(4, Mode::kSlice);
+  ShardOptions o = f.options(4);
   ShardReport probe = run_sharded(o);
   ASSERT_TRUE(probe.ok);
   std::uint32_t victim = 0;

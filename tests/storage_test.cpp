@@ -5,7 +5,7 @@
 // properties, bit-flip corruption rejection, torn-tail recovery sweeps,
 // query equivalence between the mmap-backed and in-memory stores,
 // byte-identical diagnosis across backends, streaming kill-and-resume,
-// verification, and compaction.
+// verification, compaction, and refusal of retired sealed v1 segments.
 
 #include <gtest/gtest.h>
 
@@ -375,13 +375,15 @@ TEST(PersistentStore, MultiSegmentPlusWalMatchesInMemoryQueries) {
   EXPECT_TRUE(verify_store(dir.path).ok());
 }
 
-// Mixed-version log: a v1 generation, a v2 generation, and a live WAL
-// tail must merge into the same answers as an in-memory store fed the same
-// arrival order — formats mix freely inside one log.
-TEST(PersistentStore, MixedFormatSegmentsPlusWalMatchInMemoryQueries) {
+// A log grown by two writer incarnations: the second writer reopens the
+// directory, continues the sequence numbering after the first's sealed
+// segment, seals a generation of its own and leaves a live WAL tail. The
+// log must deep-verify and merge into the same answers as an in-memory
+// store fed the same arrival order, before and after compaction.
+TEST(PersistentStore, ReopenedWriterSegmentsPlusWalMatchInMemoryQueries) {
   util::Rng rng(0x3141);
   core::EventStore mem;
-  TempDir dir("mixed");
+  TempDir dir("reopened");
   util::TimeSec watermark = 0;
   auto feed = [&](EventLogWriter& writer, int count) {
     for (int i = 0; i < count; ++i) {
@@ -392,31 +394,30 @@ TEST(PersistentStore, MixedFormatSegmentsPlusWalMatchInMemoryQueries) {
     }
   };
   {
-    EventLogWriter v1_writer(dir.path, false, SealFormat::kV1);
-    feed(v1_writer, 400);
-    ASSERT_TRUE(v1_writer.seal(watermark).has_value());
+    EventLogWriter first(dir.path);
+    feed(first, 400);
+    ASSERT_EQ(first.seal(watermark), 1u);
   }
   {
-    EventLogWriter v2_writer(dir.path, false, SealFormat::kV2);
-    feed(v2_writer, 400);
-    ASSERT_TRUE(v2_writer.seal(watermark).has_value());
-    feed(v2_writer, 150);  // live WAL tail, not sealed
+    EventLogWriter second(dir.path);
+    feed(second, 400);
+    ASSERT_EQ(second.seal(watermark), 2u);
+    feed(second, 150);  // live WAL tail, not sealed
   }
   mem.warm();
 
   PersistentEventStore disk = PersistentEventStore::open(dir.path);
   EXPECT_EQ(disk.stats().sealed_segments, 2u);
-  EXPECT_EQ(disk.stats().v2_segments, 1u);
   EXPECT_EQ(disk.stats().wal_events, 150u);
   expect_equivalent(mem, disk, rng, 300);
   EXPECT_TRUE(verify_store(dir.path, /*deep=*/true).ok());
 
-  // Compacting the mixed log folds both formats plus the tail into one v2
-  // segment with identical answers.
+  // Compaction folds both generations plus the tail into one segment with
+  // identical answers.
   ASSERT_TRUE(compact_store(dir.path).has_value());
   PersistentEventStore compacted = PersistentEventStore::open(dir.path);
   EXPECT_EQ(compacted.stats().sealed_segments, 1u);
-  EXPECT_EQ(compacted.stats().v2_segments, 1u);
+  EXPECT_FALSE(compacted.stats().wal_present);
   expect_equivalent(mem, compacted, rng, 300);
   EXPECT_TRUE(verify_store(dir.path, /*deep=*/true).ok());
 }
@@ -430,7 +431,7 @@ TEST(EventLog, TornTailSweepWithSealedV2Segment) {
   std::vector<core::EventInstance> sealed_events;
   util::TimeSec watermark = 0;
   {
-    EventLogWriter writer(master.path, false, SealFormat::kV2);
+    EventLogWriter writer(master.path);
     for (int i = 0; i < 50; ++i) {
       sealed_events.push_back(random_event(rng));
       watermark = std::max(watermark, sealed_events.back().when.start + 1);
@@ -463,7 +464,7 @@ TEST(EventLog, TornTailSweepWithSealedV2Segment) {
                                                   frame_end.end(), cut) -
                                  frame_end.begin());
     PersistentEventStore store = PersistentEventStore::open(dir.path);
-    EXPECT_EQ(store.stats().v2_segments, 1u);
+    EXPECT_EQ(store.stats().sealed_segments, 1u);
     EXPECT_EQ(store.stats().wal_events, whole_frames);
     ASSERT_EQ(store.total_instances(), sealed_events.size() + whole_frames)
         << "cut=" << cut;
@@ -536,6 +537,84 @@ TEST(EventLog, VerifyReportsTornWalAsRecoverable) {
   EXPECT_GT(report.torn_wal_bytes, 0u);
 }
 
+// A sealed v1 segment (the retired row-oriented sealed format) must be
+// refused by every reader with a StorageError naming the file — never read
+// as a live segment, whether or not a footer trailer validates behind its
+// frames — and compaction must leave a log holding one untouched.
+TEST(EventLog, SealedV1SegmentIsRefusedEverywhere) {
+  util::Rng rng(41);
+  for (bool with_trailer : {false, true}) {
+    TempDir dir(with_trailer ? "trailer" : "bare");
+    {
+      EventLogWriter writer(dir.path);
+      for (int i = 0; i < 20; ++i) writer.append(random_event(rng));
+      ASSERT_EQ(writer.seal(util::make_utc(2026, 4, 1)), 1u);
+      for (int i = 0; i < 5; ++i) writer.append(random_event(rng));
+    }
+    // The WAL header with its kind switched to sealed (header CRC
+    // recomputed so only the version/kind pairing is wrong), then frames.
+    std::vector<std::uint8_t> v1 = encode_segment_header(2, SegmentKind::kLive);
+    v1.resize(kSegmentHeaderBytes - 4);
+    v1[6] = static_cast<std::uint8_t>(SegmentKind::kSealed);
+    put_u32(v1, crc32c(v1.data(), v1.size()));
+    for (int i = 0; i < 3; ++i) encode_frame(random_event(rng), v1);
+    if (with_trailer) {
+      std::vector<std::uint8_t> footer = {1, 2, 3, 4, 5, 6, 7, 8};
+      v1.insert(v1.end(), footer.begin(), footer.end());
+      put_u64(v1, footer.size());
+      put_u32(v1, crc32c(footer.data(), footer.size()));
+      put_u32(v1, kFooterMagic);
+    }
+    const fs::path v1_path = dir.path / "seg-000002.grseg";
+    write_file(v1_path, v1, v1.size());
+
+    auto expect_names_file = [&](const StorageError& e) {
+      EXPECT_NE(std::string(e.what()).find(v1_path.string()),
+                std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("sealed v1"), std::string::npos)
+          << e.what();
+    };
+    try {
+      SegmentReader::open(v1_path);
+      ADD_FAILURE() << "SegmentReader::open accepted a sealed v1 segment";
+    } catch (const StorageError& e) {
+      expect_names_file(e);
+    }
+    try {
+      PersistentEventStore::open(dir.path);
+      ADD_FAILURE() << "PersistentEventStore::open accepted sealed v1";
+    } catch (const StorageError& e) {
+      expect_names_file(e);
+    }
+
+    VerifyReport report = verify_store(dir.path, /*deep=*/true);
+    EXPECT_FALSE(report.ok());
+    ASSERT_EQ(report.errors.size(), 1u);
+    EXPECT_NE(report.errors.front().find(v1_path.string()),
+              std::string::npos);
+    EXPECT_NE(report.errors.front().find("sealed v1"), std::string::npos);
+
+    // Compaction refuses before writing anything: same files, same bytes.
+    std::map<std::string, std::vector<std::uint8_t>> before;
+    for (const auto& entry : fs::directory_iterator(dir.path)) {
+      before[entry.path().filename().string()] = read_file(entry.path());
+    }
+    try {
+      compact_store(dir.path);
+      ADD_FAILURE() << "compact_store accepted a sealed v1 segment";
+    } catch (const StorageError& e) {
+      expect_names_file(e);
+    }
+    std::map<std::string, std::vector<std::uint8_t>> after;
+    for (const auto& entry : fs::directory_iterator(dir.path)) {
+      after[entry.path().filename().string()] = read_file(entry.path());
+    }
+    EXPECT_EQ(after, before);
+    EXPECT_EQ(after.size(), 3u);  // seg-000001, seg-000002, wal
+  }
+}
+
 // ----------------------------------------- end-to-end diagnosis identity --
 
 struct StudyFixture {
@@ -585,11 +664,10 @@ std::string fingerprint(const core::Diagnosis& d) {
   return out.str();
 }
 
-// The acceptance gate: diagnosing against a reopened persistent store —
-// in BOTH on-disk formats — yields byte-identical verdicts (same
-// diagnoses, same order, same evidence) as a fresh extraction run over the
-// same corpus.
-TEST(PersistentStore, DiagnosisByteIdenticalAcrossFormatsAndBackends) {
+// The acceptance gate: diagnosing against a reopened persistent store
+// yields byte-identical verdicts (same diagnoses, same order, same
+// evidence) as a fresh extraction run over the same corpus.
+TEST(PersistentStore, DiagnosisByteIdenticalAcrossBackends) {
   StudyFixture f;
   apps::Pipeline fresh(f.rca_net, f.study.records);
   auto batch = fresh.diagnose_all(apps::bgp::build_graph(), 1);
@@ -601,26 +679,21 @@ TEST(PersistentStore, DiagnosisByteIdenticalAcrossFormatsAndBackends) {
       watermark = std::max(watermark, e.when.start + 1);
     }
   }
-  for (SealFormat format : {SealFormat::kV1, SealFormat::kV2}) {
-    std::string tag = format == SealFormat::kV1 ? "v1" : "v2";
-    TempDir dir("diag-" + tag);
-    write_sealed_store(dir.path, fresh.store(), watermark, format);
+  TempDir dir("diag");
+  write_sealed_store(dir.path, fresh.store(), watermark);
 
-    auto disk = std::make_shared<PersistentEventStore>(
-        PersistentEventStore::open(dir.path));
-    EXPECT_EQ(disk->stats().v2_segments,
-              format == SealFormat::kV2 ? 1u : 0u);
-    EXPECT_EQ(disk->total_instances(), fresh.store().total_instances());
-    apps::Pipeline loaded(f.rca_net, f.study.records, disk);
-    auto replayed = loaded.diagnose_all(apps::bgp::build_graph(), 1);
+  auto disk = std::make_shared<PersistentEventStore>(
+      PersistentEventStore::open(dir.path));
+  EXPECT_EQ(disk->stats().sealed_segments, 1u);
+  EXPECT_EQ(disk->total_instances(), fresh.store().total_instances());
+  apps::Pipeline loaded(f.rca_net, f.study.records, disk);
+  auto replayed = loaded.diagnose_all(apps::bgp::build_graph(), 1);
 
-    ASSERT_EQ(replayed.size(), batch.size()) << tag;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      ASSERT_EQ(batch[i].symptom, replayed[i].symptom)
-          << tag << " diagnosis " << i;
-      ASSERT_EQ(fingerprint(batch[i]), fingerprint(replayed[i]))
-          << tag << " diagnosis " << i;
-    }
+  ASSERT_EQ(replayed.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    ASSERT_EQ(batch[i].symptom, replayed[i].symptom) << "diagnosis " << i;
+    ASSERT_EQ(fingerprint(batch[i]), fingerprint(replayed[i]))
+        << "diagnosis " << i;
   }
 }
 
