@@ -20,17 +20,6 @@ namespace grca::apps {
 
 namespace {
 
-/// Stable 64-bit string hash (FNV-1a). std::hash is not guaranteed stable
-/// across standard libraries, and cell seeds must match everywhere.
-std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 struct AppHooks {
   core::DiagnosisGraph (*build_graph)();
   std::string (*canonical)(const std::string&);
@@ -86,7 +75,8 @@ struct Aggregate {
 
 std::uint64_t cell_seed(std::uint64_t base, std::string_view topology,
                         std::string_view scenario) {
-  return base ^ fnv1a(topology) ^ (fnv1a(scenario) << 1);
+  return base ^ util::fnv1a64(topology, util::kSeedHashBasis) ^
+         (util::fnv1a64(scenario, util::kSeedHashBasis) << 1);
 }
 
 BenchmarkResult run_benchmark(const std::vector<BenchmarkTopology>& topologies,

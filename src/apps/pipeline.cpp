@@ -4,7 +4,6 @@
 #include "apps/pipeline.h"
 
 #include "obs/span.h"
-#include "util/thread_pool.h"
 
 namespace grca::apps {
 
@@ -50,8 +49,8 @@ Pipeline::Pipeline(const topology::Network& net,
     feed_health_.observe_clock(index_.all().back().utc);
   }
   // Sort and intern everything now, while construction is still
-  // single-threaded: diagnose_all/diagnose_apps then start from a warm
-  // store and the engines' join caches key on interned ids immediately.
+  // single-threaded: diagnose_all then starts from a warm store and the
+  // engines' join caches key on interned ids immediately.
   // (Callers adding more events via store() just re-dirty the buckets.)
   store_.warm();
 }
@@ -79,37 +78,6 @@ std::vector<core::Diagnosis> Pipeline::diagnose_all(core::DiagnosisGraph graph,
   obs::ScopedSpan span("diagnose");
   core::RcaEngine engine(std::move(graph), events(), mapper_);
   return engine.diagnose_all(threads);
-}
-
-std::vector<core::Diagnosis> Pipeline::diagnose_selected(
-    core::DiagnosisGraph graph, std::span<const std::uint32_t> indices,
-    unsigned threads) const {
-  obs::ScopedSpan span("diagnose");
-  core::RcaEngine engine(std::move(graph), events(), mapper_);
-  return engine.diagnose_indices(indices, threads);
-}
-
-std::vector<std::vector<core::Diagnosis>> Pipeline::diagnose_apps(
-    std::vector<core::DiagnosisGraph> graphs, unsigned threads) const {
-  std::vector<std::vector<core::Diagnosis>> out(graphs.size());
-  if (threads == 0) threads = util::ThreadPool::default_threads();
-  if (threads <= 1 || graphs.size() < 2) {
-    for (std::size_t i = 0; i < graphs.size(); ++i) {
-      out[i] = diagnose_all(std::move(graphs[i]), threads);
-    }
-    return out;
-  }
-  // Warm once from this thread; the applications then share read-only
-  // store/mapper state. Each application runs serially within its task —
-  // the fan-out here is across applications.
-  events().warm();
-  util::ThreadPool pool(
-      static_cast<unsigned>(std::min<std::size_t>(threads, graphs.size())));
-  pool.parallel_for(0, graphs.size(), [&](std::size_t i) {
-    core::RcaEngine engine(std::move(graphs[i]), events(), mapper_);
-    out[i] = engine.diagnose_all();
-  });
-  return out;
 }
 
 core::ResultBrowser::ContextLookup Pipeline::context_lookup() const {

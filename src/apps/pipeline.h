@@ -71,19 +71,6 @@ class Pipeline {
   std::vector<core::Diagnosis> diagnose_all(core::DiagnosisGraph graph,
                                             unsigned threads = 0) const;
 
-  /// Shard-worker fan-out: diagnoses only the root instances at `indices`
-  /// of the store's root span. Result i corresponds to indices[i] and is
-  /// byte-identical to the same symptom's diagnosis in a full diagnose_all.
-  std::vector<core::Diagnosis> diagnose_selected(
-      core::DiagnosisGraph graph, std::span<const std::uint32_t> indices,
-      unsigned threads = 0) const;
-
-  /// Per-application fan-out: diagnoses several applications' graphs
-  /// concurrently on one pool over the shared store. Results are returned
-  /// in input order, each identical to a serial diagnose_all of that graph.
-  std::vector<std::vector<core::Diagnosis>> diagnose_apps(
-      std::vector<core::DiagnosisGraph> graphs, unsigned threads = 0) const;
-
  private:
   const topology::Network& net_;
   obs::FeedHealthMonitor feed_health_;  // must precede index_ (normalizer

@@ -199,34 +199,6 @@ Diagnosis RcaEngine::diagnose(const EventInstance& symptom) const {
   return result;
 }
 
-std::vector<Diagnosis> RcaEngine::diagnose_indices(
-    std::span<const std::uint32_t> indices, unsigned threads) const {
-  std::span<const EventInstance> symptoms = store_.all(graph_.root());
-  for (std::uint32_t index : indices) {
-    if (index >= symptoms.size()) {
-      throw ConfigError("diagnose_indices: symptom index " +
-                        std::to_string(index) + " out of range (store has " +
-                        std::to_string(symptoms.size()) + " '" +
-                        graph_.root() + "' instances)");
-    }
-  }
-  std::vector<Diagnosis> out(indices.size());
-  if (threads == 0) threads = util::ThreadPool::default_threads();
-  if (threads <= 1 || indices.size() < 2) {
-    for (std::size_t i = 0; i < indices.size(); ++i) {
-      out[i] = diagnose(symptoms[indices[i]]);
-    }
-    return out;
-  }
-  store_.warm();
-  util::ThreadPool pool(
-      static_cast<unsigned>(std::min<std::size_t>(threads, indices.size())));
-  pool.parallel_for(0, indices.size(), [&](std::size_t i) {
-    out[i] = diagnose(symptoms[indices[i]]);
-  });
-  return out;
-}
-
 std::vector<Diagnosis> RcaEngine::diagnose_all(unsigned threads) const {
   std::span<const EventInstance> symptoms = store_.all(graph_.root());
   std::vector<Diagnosis> out(symptoms.size());

@@ -11,7 +11,6 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -82,14 +81,6 @@ class RcaEngine {
   /// read-only. The result is identical — same diagnoses, same order — for
   /// every thread count.
   std::vector<Diagnosis> diagnose_all(unsigned threads = 1) const;
-
-  /// Diagnoses the root-symptom instances at the given indices of the
-  /// store's root span, in the given order (result i <-> indices[i]).
-  /// Same fan-out and identity contract as diagnose_all; this is the shard
-  /// worker's entry point (indices are the coordinator-assigned global
-  /// sequence numbers). Throws ConfigError on an out-of-range index.
-  std::vector<Diagnosis> diagnose_indices(
-      std::span<const std::uint32_t> indices, unsigned threads = 1) const;
 
   const DiagnosisGraph& graph() const noexcept { return graph_; }
 

@@ -34,16 +34,18 @@
 //       spans as JSONL (convert with `grca spans`).
 //
 //   grca metrics --study bgp|cdn|pim|innet --data DIR [--threads N]
-//                [--format prometheus|json]
+//                [--format prometheus|json] [--store DIR] [--dsl FILE]...
+//                [--span-log FILE]
 //       Run the same pipeline + diagnosis as `diagnose`, but print the
 //       metrics registry instead of the breakdown: per-source feed
 //       counts/lag/gaps, per-stage latency histograms, engine counters.
 //
 //   grca calibrate --study bgp|cdn|pim --data DIR [--store DIR]
 //                  --symptom EVENT --diagnostic EVENT --join LEVEL
-//       Learn temporal margins for a rule from the archived data (§VI).
-//       --store reads events from a persisted event log instead of
-//       re-extracting, matching `diagnose --store`.
+//       Learn temporal margins for a rule from the archived data (§VI),
+//       over the same events `diagnose` sees for the study. --store reads
+//       events from a persisted event log instead of re-extracting,
+//       matching `diagnose --store`.
 //
 //   grca learn (--study bgp|cdn|pim|innet --data DIR [--store DIR]
 //              | --topology FILE --scenario CLASS [--days N] [--symptoms N]
@@ -71,8 +73,9 @@
 //   grca replay [--study bgp|cdn|pim|innet] [--data DIR]
 //               [--rate N[x]|max] [--ingest-threads N] [--workers N]
 //               [--tick SEC] [--source-lag SEC] [--jitter SEC] [--seed S]
-//               [--days N] [--symptoms N] [--report-out FILE]
+//               [--days N] [--symptoms N] [--paper-scale] [--report-out FILE]
 //               [--metrics-out FILE] [--min-rate RECORDS_PER_MIN] [--no-truth]
+//               [--persist DIR] [--persist-seal-every SEC]
 //       Replay a recorded corpus (--data) or a freshly generated default
 //       scenario through the streaming RCA engine at a scaled (or maximum)
 //       rate, sharded over N ingest threads with seeded per-source arrival
@@ -80,14 +83,17 @@
 //       percentiles, queue high-water, per-source feed health, the record
 //       conservation check, and (unless --no-truth) ground-truth coverage
 //       plus a streaming-vs-batch verdict diff. Exits nonzero when a check
-//       fails or the sustained rate is below --min-rate.
+//       fails or the sustained rate is below --min-rate. --persist appends
+//       every frozen event to the event log at DIR and seals a segment every
+//       --persist-seal-every stream-seconds (default 3600); a DIR that
+//       already holds sealed segments resumes from the newest watermark.
 //
 //   grca serve --study bgp|cdn|pim|innet [--data DIR] [--port N]
 //              [--port-file FILE] [--http-threads N] [--api-dump DIR]
 //              [--once] [--public] [--follow] [--rate N[x]|max] [--tick SEC]
 //              [--idle-ticks N] [--alert-rules FILE] [--workers N]
-//              [--persist DIR] [--persist-seal-every SEC]
-//              [--days N] [--symptoms N] [--seed S]
+//              [--persist DIR] [--persist-seal-every SEC] [--threads N]
+//              [--days N] [--symptoms N] [--seed S] [--paper-scale]
 //       Run a diagnosis and serve it over HTTP: GET /metrics (Prometheus
 //       scrape), /api/breakdown, /api/trending, /api/drilldown/{cause},
 //       /api/health, /api/alerts, /healthz. Default (batch) mode runs the
@@ -104,34 +110,17 @@
 //       the stream drains, the persistence watermark seals, listeners
 //       close.
 //
-//   grca shard --study bgp|cdn|pim|innet --data DIR --store DIR
-//              [--workers N] [--threads N] [--slice-dir DIR] [--keep-slices]
-//              [--retry-failed] [--dsl FILE]... [--metrics-out FILE]
-//              [--fail-worker N] [--fail-after N]
-//       Sharded multi-process diagnosis: partition the study's symptom
-//       stream by location across N worker processes (forked from this
-//       binary as `grca shard-worker`), each diagnosing off its own
-//       re-sealed slice of the persistent store, then merge the result
-//       frames by global sequence number. The breakdown printed
-//       to stdout is byte-identical to `diagnose --study ... --data DIR
-//       --store DIR` up to the mean-diagnosis-time line; the per-worker
-//       status table goes to stderr. Exits nonzero when any worker fails
-//       (per-worker status still printed); --retry-failed reruns failed
-//       shards once — the partition is deterministic, so the rerun merges
-//       byte-identically. --fail-worker/--fail-after are failure-injection
-//       hooks for the tests (worker N aborts after emitting N results).
-//
-//   grca store inspect|verify|compact --dir DIR
+//   grca store inspect|verify|compact --dir DIR [--deep]
 //       Operate on a persisted event log. `inspect` prints per-segment
 //       summaries (sequence, events, names, watermark, bytes, dictionary
 //       and zone-map sizes plus per-name run summaries: rows, blocks,
-//       start range, column-region bytes — the shard-slice debugging
-//       view). `verify` runs the full integrity sweep — header/footer/frame
-//       CRCs, column-region CRCs, full structural decode — and exits
-//       nonzero on any corruption; `--deep` additionally recomputes footer
-//       statistics (max durations, zone maps) from a full rescan. `compact`
-//       folds every sealed segment plus the WAL's valid prefix into one
-//       segment (query results unchanged).
+//       start range, column-region bytes). `verify` runs the full
+//       integrity sweep — header/footer/frame CRCs, column-region CRCs,
+//       full structural decode — and exits nonzero on any corruption;
+//       `--deep` additionally recomputes footer statistics (max durations,
+//       zone maps) from a full rescan. `compact` folds every sealed segment
+//       plus the WAL's valid prefix into one segment (query results
+//       unchanged).
 //
 //   grca spans --in FILE [--out FILE]
 //       Convert a span JSONL log (from --span-log) into a Chrome trace
@@ -155,8 +144,6 @@
 //
 //   grca version
 //       Print the build version (also: grca --version).
-
-#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -188,8 +175,6 @@
 #include "service/alerts.h"
 #include "service/service_plane.h"
 #include "service/shutdown.h"
-#include "shard/coordinator.h"
-#include "shard/worker.h"
 #include "simulation/archive.h"
 #include "storage/event_log.h"
 #include "storage/persistent_store.h"
@@ -219,7 +204,8 @@ namespace {
                 [--threads N] [--trend] [--score] [--drill CAUSE]
                 [--metrics-out FILE] [--store DIR] [--span-log FILE]
   grca metrics --study bgp|cdn|pim|innet --data DIR [--threads N]
-               [--format prometheus|json] [--store DIR]
+               [--format prometheus|json] [--store DIR] [--dsl FILE]...
+               [--span-log FILE]
   grca calibrate --study bgp|cdn|pim --data DIR [--store DIR]
                  --symptom EVENT --diagnostic EVENT --join LEVEL
   grca learn (--study bgp|cdn|pim|innet --data DIR [--store DIR]
@@ -233,19 +219,15 @@ namespace {
   grca replay [--study bgp|cdn|pim|innet] [--data DIR] [--rate N[x]|max]
               [--ingest-threads N] [--workers N] [--tick SEC]
               [--source-lag SEC] [--jitter SEC] [--seed S] [--days N]
-              [--symptoms N] [--report-out FILE] [--metrics-out FILE]
-              [--min-rate RECORDS_PER_MIN] [--no-truth] [--persist DIR]
-              [--persist-seal-every SEC]
+              [--symptoms N] [--paper-scale] [--report-out FILE]
+              [--metrics-out FILE] [--min-rate RECORDS_PER_MIN] [--no-truth]
+              [--persist DIR] [--persist-seal-every SEC]
   grca serve --study bgp|cdn|pim|innet [--data DIR] [--port N]
              [--port-file FILE] [--http-threads N] [--api-dump DIR] [--once]
              [--public] [--follow] [--rate N[x]|max] [--tick SEC]
              [--idle-ticks N] [--alert-rules FILE] [--workers N]
-             [--persist DIR] [--persist-seal-every SEC] [--days N]
-             [--symptoms N] [--seed S]
-  grca shard --study bgp|cdn|pim|innet --data DIR --store DIR [--workers N]
-             [--threads N] [--slice-dir DIR] [--keep-slices] [--retry-failed]
-             [--dsl FILE]... [--metrics-out FILE] [--fail-worker N]
-             [--fail-after N]
+             [--persist DIR] [--persist-seal-every SEC] [--threads N]
+             [--days N] [--symptoms N] [--seed S] [--paper-scale]
   grca store inspect --dir DIR
   grca store verify --dir DIR [--deep]
   grca store compact --dir DIR
@@ -259,13 +241,23 @@ namespace {
   std::exit(2);
 }
 
-/// Minimal flag parser: --key value pairs plus bare flags.
+using FlagSet = std::set<std::string>;
+
+FlagSet operator+(FlagSet a, const FlagSet& b) {
+  a.insert(b.begin(), b.end());
+  return a;
+}
+
+/// Minimal flag parser: --key value pairs plus bare flags. Each command
+/// names the valued and bare flags it reads; any other flag is a usage
+/// error, so a misspelt or removed flag cannot be silently ignored.
 struct Args {
   std::map<std::string, std::vector<std::string>> values;
   std::set<std::string> flags;
 
   static Args parse(int argc, char** argv, int from,
-                    const std::set<std::string>& bare) {
+                    const std::string& command, const FlagSet& valued,
+                    const FlagSet& bare = {}) {
     Args args;
     for (int i = from; i < argc; ++i) {
       std::string arg = argv[i];
@@ -273,9 +265,11 @@ struct Args {
       std::string key = arg.substr(2);
       if (bare.count(key)) {
         args.flags.insert(key);
-      } else {
+      } else if (valued.count(key)) {
         if (i + 1 >= argc) usage("missing value for --" + key);
         args.values[key].push_back(argv[++i]);
+      } else {
+        usage("unknown flag --" + key + " for " + command);
       }
     }
     return args;
@@ -383,8 +377,12 @@ sim::StudyOutput run_workload(const std::string& study,
   usage("unknown study '" + study + "'");
 }
 
-/// Generates the synthetic ISP + study workload used by `simulate` and by
-/// `replay` when no --data corpus is given.
+/// Flags generate_corpus reads: these valued ones plus the bare
+/// --paper-scale.
+const FlagSet kCorpusFlags = {"seed", "days", "symptoms"};
+
+/// Generates the synthetic ISP + study workload used by `simulate`, and by
+/// `replay` and `serve` when no --data corpus is given.
 sim::ReplayCorpus generate_corpus(const Args& args, const std::string& study,
                                   StudyDefaults defaults) {
   topology::TopoParams tp;
@@ -446,6 +444,10 @@ int cmd_simulate(const Args& args) {
   }
   return 0;
 }
+
+/// Flags run_study reads.
+const FlagSet kStudyRunFlags = {"study", "data", "span-log", "store", "dsl",
+                                "threads"};
 
 /// The shared front half of `diagnose` and `metrics`: corpus + pipeline
 /// from DIR, study graph (plus extra DSL files), full diagnose_all. The
@@ -580,6 +582,8 @@ int cmd_metrics(const Args& args) {
 }
 
 int cmd_calibrate(const Args& args) {
+  std::string study = args.get("study");
+  hooks_for(study);  // validate the name before reading the corpus
   fs::path data(args.get("data"));
   sim::ReplayCorpus corpus = sim::read_corpus(data);
   std::unique_ptr<apps::Pipeline> pipeline;
@@ -591,8 +595,10 @@ int cmd_calibrate(const Args& args) {
     pipeline = std::make_unique<apps::Pipeline>(corpus.network, corpus.records,
                                                 std::move(pstore));
   } else {
-    pipeline =
-        std::make_unique<apps::Pipeline>(corpus.network, corpus.records);
+    // The same extraction `diagnose` runs for this study.
+    pipeline = std::make_unique<apps::Pipeline>(
+        corpus.network, corpus.records, collector::ExtractOptions{},
+        observers_for(study, corpus.network));
   }
   auto result = core::calibrate_temporal(
       pipeline->events(), pipeline->mapper(), args.get("symptom"),
@@ -912,64 +918,6 @@ int cmd_serve(const Args& args) {
   return 0;
 }
 
-int cmd_shard(const Args& args) {
-  shard::ShardOptions options;
-  options.study = args.get("study");
-  hooks_for(options.study);  // validate the name before forking anything
-  options.data_dir = fs::path(args.get("data"));
-  options.store_dir = fs::path(args.get("store"));
-  long workers = args.get_long("workers", 8);
-  if (workers < 1) usage("--workers must be >= 1");
-  options.workers = static_cast<std::uint32_t>(workers);
-  long threads = args.get_long("threads", 1);
-  if (threads < 1) usage("--threads must be >= 1");
-  options.threads_per_worker = static_cast<std::uint32_t>(threads);
-  if (auto it = args.values.find("slice-dir"); it != args.values.end()) {
-    options.slice_dir = fs::path(it->second.back());
-  }
-  options.keep_slices = args.flags.count("keep-slices") > 0;
-  options.retry_failed = args.flags.count("retry-failed") > 0;
-  if (auto it = args.values.find("dsl"); it != args.values.end()) {
-    std::stringstream ss;
-    for (const std::string& file : it->second) {
-      std::ifstream in(file);
-      if (!in) usage("cannot open DSL file " + file);
-      ss << in.rdbuf() << "\n";
-    }
-    options.extra_dsl = ss.str();
-  }
-  long fail_worker = args.get_long("fail-worker", -1);
-  if (fail_worker >= 0) {
-    options.test_fail_worker = static_cast<std::uint32_t>(fail_worker);
-    options.test_fail_after =
-        static_cast<std::uint32_t>(args.get_long("fail-after", 0));
-  }
-
-  shard::ShardReport report = shard::run_sharded(options);
-  std::cerr << report.render_status();
-  if (!report.ok) {
-    std::cerr << "shard run FAILED\n";
-    return 1;
-  }
-
-  // Render exactly what `diagnose` renders so the views byte-diff (the
-  // mean-diagnosis-time line differs numerically run to run — it carries
-  // wall time — which is why the CI comparison strips lines containing
-  // "diagnosis time"). `report` outlives the browser: the merged diagnoses
-  // point into its decode arenas.
-  core::ResultBrowser browser(std::move(report.diagnoses));
-  hooks_for(options.study).browser(browser);
-  std::cout << browser.breakdown().render("root cause breakdown");
-  std::cout << "\nmean diagnosis time: " << browser.mean_diagnosis_ms()
-            << " ms/symptom over " << browser.diagnoses().size()
-            << " symptoms\n";
-
-  if (auto it = args.values.find("metrics-out"); it != args.values.end()) {
-    write_metrics_file(fs::path(it->second.back()));
-  }
-  return 0;
-}
-
 int cmd_store(const std::string& action, const Args& args) {
   fs::path dir(args.get("dir"));
   if (action == "verify") {
@@ -1031,9 +979,7 @@ int cmd_store(const std::string& action, const Args& args) {
                   << footer.strings.size() << " attr strings, watermark "
                   << footer.watermark << "\n";
         // Per-name run summaries: rows, zone-map block count + time range,
-        // column-region bytes. This is the shard-slice debugging view —
-        // `grca shard --keep-slices` leaves the per-worker stores on disk
-        // and these lines show what each slice actually holds.
+        // column-region bytes — what each segment actually holds.
         for (const storage::V2Run& run : footer.runs) {
           std::cout << "  " << footer.names[run.name_id] << ": " << run.count
                     << " rows, " << run.blocks.size() << " blocks ("
@@ -1365,55 +1311,77 @@ int main(int argc, char** argv) {
       std::cout << "grca " << GRCA_VERSION << "\n";
       return 0;
     }
-    if (command == "dump-library") return cmd_dump_library();
+    if (command == "dump-library") {
+      Args::parse(argc, argv, 2, command, {});
+      return cmd_dump_library();
+    }
     if (command == "simulate") {
-      return cmd_simulate(Args::parse(argc, argv, 2, {"paper-scale"}));
+      return cmd_simulate(Args::parse(argc, argv, 2, command,
+                                      kCorpusFlags + FlagSet{"study", "out",
+                                                             "store-out"},
+                                      {"paper-scale"}));
     }
     if (command == "diagnose") {
-      return cmd_diagnose(Args::parse(argc, argv, 2, {"trend", "score"}));
+      return cmd_diagnose(Args::parse(argc, argv, 2, command,
+                                      kStudyRunFlags +
+                                          FlagSet{"drill", "metrics-out"},
+                                      {"trend", "score"}));
     }
     if (command == "metrics") {
-      return cmd_metrics(Args::parse(argc, argv, 2, {}));
+      return cmd_metrics(Args::parse(argc, argv, 2, command,
+                                     kStudyRunFlags + FlagSet{"format"}));
     }
     if (command == "calibrate") {
-      return cmd_calibrate(Args::parse(argc, argv, 2, {}));
+      return cmd_calibrate(Args::parse(
+          argc, argv, 2, command,
+          {"study", "data", "store", "symptom", "diagnostic", "join"}));
     }
     if (command == "replay") {
-      return cmd_replay(
-          Args::parse(argc, argv, 2, {"no-truth", "paper-scale"}));
+      return cmd_replay(Args::parse(
+          argc, argv, 2, command,
+          kCorpusFlags + FlagSet{"study", "data", "rate", "ingest-threads",
+                                 "workers", "tick", "source-lag", "jitter",
+                                 "persist", "persist-seal-every",
+                                 "report-out", "metrics-out", "min-rate"},
+          {"no-truth", "paper-scale"}));
     }
     if (command == "serve") {
       return cmd_serve(Args::parse(
-          argc, argv, 2, {"follow", "once", "public", "paper-scale"}));
-    }
-    if (command == "shard") {
-      return cmd_shard(
-          Args::parse(argc, argv, 2, {"keep-slices", "retry-failed"}));
-    }
-    if (command == "shard-worker") {
-      // Hidden: the exec'd worker half of `grca shard`. Its frame stream
-      // rides the fd that arrived as stdout, so steal it first and point
-      // stdout at stderr — any stray print then lands in the coordinator's
-      // status log instead of corrupting the protocol stream.
-      int out_fd = ::dup(STDOUT_FILENO);
-      if (out_fd < 0 || ::dup2(STDERR_FILENO, STDOUT_FILENO) < 0) {
-        std::cerr << "shard-worker: cannot rewire stdio\n";
-        return 1;
-      }
-      return shard::run_worker(STDIN_FILENO, out_fd);
+          argc, argv, 2, command,
+          kCorpusFlags + FlagSet{"study", "data", "port", "port-file",
+                                 "http-threads", "threads", "api-dump",
+                                 "alert-rules", "workers", "persist",
+                                 "persist-seal-every", "rate", "tick",
+                                 "idle-ticks"},
+          {"follow", "once", "public", "paper-scale"}));
     }
     if (command == "store") {
       if (argc < 3) usage("store needs an action: inspect|verify|compact");
-      return cmd_store(argv[2], Args::parse(argc, argv, 3, {"deep"}));
+      std::string action = argv[2];
+      return cmd_store(action,
+                       Args::parse(argc, argv, 3, "store " + action, {"dir"},
+                                   action == "verify" ? FlagSet{"deep"}
+                                                      : FlagSet{}));
     }
     if (command == "spans") {
-      return cmd_spans(Args::parse(argc, argv, 2, {}));
+      return cmd_spans(Args::parse(argc, argv, 2, command, {"in", "out"}));
     }
     if (command == "benchmark") {
-      return cmd_benchmark(Args::parse(argc, argv, 2, {"deterministic"}));
+      return cmd_benchmark(Args::parse(
+          argc, argv, 2, command,
+          {"topology", "topo-dir", "scenarios", "days", "symptoms", "seed",
+           "threads", "noise", "pers", "customers", "out", "gate-out"},
+          {"deterministic"}));
     }
     if (command == "learn") {
-      return cmd_learn(Args::parse(argc, argv, 2, {"deterministic"}));
+      return cmd_learn(Args::parse(
+          argc, argv, 2, command,
+          {"study", "data", "store", "topology", "scenario", "days",
+           "symptoms", "noise", "pers", "customers", "seed", "ablate", "dsl",
+           "max-iterations", "budget", "min-score", "alpha", "permutations",
+           "threads", "out", "gate-out", "rules-out", "metrics-out",
+           "span-log"},
+          {"deterministic"}));
     }
     usage("unknown command '" + command + "'");
   } catch (const std::exception& e) {

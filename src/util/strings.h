@@ -5,6 +5,7 @@
 // parsers, the rule DSL, and the data normalizer.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <string_view>
@@ -49,5 +50,20 @@ std::string join(const std::vector<std::string>& items, std::string_view sep);
 
 /// printf-style double formatting with fixed decimals (for report tables).
 std::string format_double(double v, int decimals);
+
+/// The 64-bit FNV-1a offset basis from the FNV specification.
+inline constexpr std::uint64_t kFnv1aBasis = 14695981039346656037ull;
+
+/// The basis learn screening seeds and benchmark cell seeds were defined
+/// with: the specification's basis with its last digit dropped. Kept so
+/// those seeds, and every golden fixture and baseline derived from them,
+/// stay bit-identical.
+inline constexpr std::uint64_t kSeedHashBasis = 1469598103934665603ull;
+
+/// Stable 64-bit string hash (FNV-1a) starting from `basis`. std::hash is
+/// not guaranteed stable across standard libraries; seeds derived from
+/// names must match everywhere.
+std::uint64_t fnv1a64(std::string_view text,
+                      std::uint64_t basis = kFnv1aBasis) noexcept;
 
 }  // namespace grca::util

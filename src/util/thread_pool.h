@@ -2,11 +2,11 @@
 // SPDX-License-Identifier: MIT
 //
 // A small fixed-size thread pool for the platform's embarrassingly-parallel
-// hot paths (per-symptom diagnosis, per-application fan-out, streaming
-// diagnosis workers). Deliberately simple: one shared FIFO queue, chunked
-// parallel_for, no work stealing — diagnosis tasks are coarse enough
-// (microseconds to milliseconds each) that a shared queue never becomes the
-// bottleneck at the core counts we target.
+// hot paths (per-symptom diagnosis, streaming diagnosis workers).
+// Deliberately simple: one shared FIFO queue, chunked parallel_for, no work
+// stealing — diagnosis tasks are coarse enough (microseconds to milliseconds
+// each) that a shared queue never becomes the bottleneck at the core counts
+// we target.
 //
 // Threading contract: submit() may be called from any thread; wait() blocks
 // until every task submitted so far has finished and rethrows the first

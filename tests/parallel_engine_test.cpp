@@ -2,18 +2,16 @@
 // SPDX-License-Identifier: MIT
 //
 // Tests for the parallel diagnosis paths: RcaEngine::diagnose_all fan-out,
-// the EventStore freeze-then-query contract, the streaming worker stage and
-// the pipeline per-application fan-out. The determinism tests assert the
-// parallel runs are *identical* to serial — same diagnoses, same instance
-// pointers, same order. The TSan CI job runs this binary to prove the
-// concurrent paths race-free.
+// the EventStore freeze-then-query contract and the streaming worker stage.
+// The determinism tests assert the parallel runs are *identical* to serial —
+// same diagnoses, same instance pointers, same order. The TSan CI job runs
+// this binary to prove the concurrent paths race-free.
 
 #include <gtest/gtest.h>
 
 #include <thread>
 
 #include "apps/bgp_flap_app.h"
-#include "apps/pipeline.h"
 #include "apps/streaming.h"
 #include "core/engine.h"
 #include "core/rule_dsl.h"
@@ -250,22 +248,6 @@ TEST(ParallelStreaming, WorkerStageIdenticalToSerial) {
                 parallel[i].evidence[j].instances.size());
     }
   }
-}
-
-TEST(ParallelPipeline, DiagnoseAppsMatchesPerAppSerial) {
-  StreamScenario scenario;
-  collector::ExtractOptions extract;
-  extract.flap_pair_window = 600;
-  apps::Pipeline pipeline(scenario.rca_net, scenario.study.records, extract);
-
-  auto serial = pipeline.diagnose_all(apps::bgp::build_graph(), 1);
-  std::vector<core::DiagnosisGraph> graphs;
-  graphs.push_back(apps::bgp::build_graph());
-  graphs.push_back(apps::bgp::build_graph());
-  auto fanned = pipeline.diagnose_apps(std::move(graphs), 4);
-  ASSERT_EQ(fanned.size(), 2u);
-  expect_identical(serial, fanned[0]);
-  expect_identical(serial, fanned[1]);
 }
 
 }  // namespace

@@ -687,13 +687,17 @@ TEST(PersistentStore, DiagnosisByteIdenticalAcrossBackends) {
   EXPECT_EQ(disk->stats().sealed_segments, 1u);
   EXPECT_EQ(disk->total_instances(), fresh.store().total_instances());
   apps::Pipeline loaded(f.rca_net, f.study.records, disk);
-  auto replayed = loaded.diagnose_all(apps::bgp::build_graph(), 1);
-
-  ASSERT_EQ(replayed.size(), batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    ASSERT_EQ(batch[i].symptom, replayed[i].symptom) << "diagnosis " << i;
-    ASSERT_EQ(fingerprint(batch[i]), fingerprint(replayed[i]))
-        << "diagnosis " << i;
+  // Threaded diagnosis also covers the mmap'd store's warm() -> read-only
+  // query contract (the TSan job runs this test).
+  for (unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    auto replayed = loaded.diagnose_all(apps::bgp::build_graph(), threads);
+    ASSERT_EQ(replayed.size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      ASSERT_EQ(batch[i].symptom, replayed[i].symptom) << "diagnosis " << i;
+      ASSERT_EQ(fingerprint(batch[i]), fingerprint(replayed[i]))
+          << "diagnosis " << i;
+    }
   }
 }
 
