@@ -75,8 +75,7 @@ struct Aggregate {
 
 std::uint64_t cell_seed(std::uint64_t base, std::string_view topology,
                         std::string_view scenario) {
-  return base ^ util::fnv1a64(topology, util::kSeedHashBasis) ^
-         (util::fnv1a64(scenario, util::kSeedHashBasis) << 1);
+  return base ^ util::fnv1a64(topology) ^ (util::fnv1a64(scenario) << 1);
 }
 
 BenchmarkResult run_benchmark(const std::vector<BenchmarkTopology>& topologies,

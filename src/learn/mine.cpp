@@ -115,8 +115,7 @@ MineOutcome mine_residue(const std::vector<core::Diagnosis>& diagnoses,
       series.push_back(onset_series(store.all(names[i]), start, end,
                                     options.bin));
     }
-    util::Rng rng(options.seed ^ util::fnv1a64(core::to_string(type),
-                                               util::kSeedHashBasis));
+    util::Rng rng(options.seed ^ util::fnv1a64(core::to_string(type)));
     for (const core::RankedCorrelation& ranked :
          screen_candidates(symptom_series, series, options.nice, rng)) {
       outcome.candidates.push_back(MinedCandidate{

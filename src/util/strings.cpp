@@ -75,8 +75,8 @@ std::string format_double(double v, int decimals) {
   return buf;
 }
 
-std::uint64_t fnv1a64(std::string_view text, std::uint64_t basis) noexcept {
-  std::uint64_t h = basis;
+std::uint64_t fnv1a64(std::string_view text) noexcept {
+  std::uint64_t h = 1469598103934665603ull;
   for (char c : text) {
     h ^= static_cast<unsigned char>(c);
     h *= 1099511628211ull;

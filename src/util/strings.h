@@ -51,19 +51,12 @@ std::string join(const std::vector<std::string>& items, std::string_view sep);
 /// printf-style double formatting with fixed decimals (for report tables).
 std::string format_double(double v, int decimals);
 
-/// The 64-bit FNV-1a offset basis from the FNV specification.
-inline constexpr std::uint64_t kFnv1aBasis = 14695981039346656037ull;
-
-/// The basis learn screening seeds and benchmark cell seeds were defined
-/// with: the specification's basis with its last digit dropped. Kept so
-/// those seeds, and every golden fixture and baseline derived from them,
-/// stay bit-identical.
-inline constexpr std::uint64_t kSeedHashBasis = 1469598103934665603ull;
-
-/// Stable 64-bit string hash (FNV-1a) starting from `basis`. std::hash is
-/// not guaranteed stable across standard libraries; seeds derived from
-/// names must match everywhere.
-std::uint64_t fnv1a64(std::string_view text,
-                      std::uint64_t basis = kFnv1aBasis) noexcept;
+/// Stable 64-bit string hash (FNV-1a). std::hash is not guaranteed stable
+/// across standard libraries; seeds derived from names must match
+/// everywhere. The offset basis is 1469598103934665603, not the FNV
+/// specification's 14695981039346656037 (a digit short): learn screening
+/// seeds and benchmark cell seeds were defined with it, and every golden
+/// fixture and baseline derived from them depends on it.
+std::uint64_t fnv1a64(std::string_view text) noexcept;
 
 }  // namespace grca::util
