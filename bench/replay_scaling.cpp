@@ -1,14 +1,14 @@
 // Copyright (c) 2026 The G-RCA Reproduction Authors.
 // SPDX-License-Identifier: MIT
 //
-// Feed-replay scaling: replays the two-week BGP study through the
-// FeedReplayer at maximum rate for 1, 2 and 4 ingest threads and reports
-// throughput, ingest-latency percentiles and queue high-water per
-// configuration. Two hard gates ride along: the diagnosis set must be
-// byte-identical across thread counts (arrival-permutation determinism),
-// and the final truth-checked run must conserve every record and match
-// the batch pipeline verdict-for-verdict. Writes the gated run's report
-// as JSON (default BENCH_replay.json) for the CI artifact trail.
+// Feed replay at maximum rate: replays the two-week BGP study through the
+// FeedReplayer with streaming diagnosis inline (1 thread) and over a
+// 4-thread pool, and reports throughput and ingest-latency percentiles for
+// each. Two hard gates ride along: the diagnoses must be byte-identical,
+// in emission order, at both thread counts, and the final truth-checked
+// run must conserve every record and match the batch pipeline
+// verdict-for-verdict. Writes the gated run's report as JSON (default
+// BENCH_replay.json) for the CI artifact trail.
 //
 // It also times ingest alone — the study written to TSV in memory, then
 // read_stream + normalize_stream + RecordIndex, best of 20 runs — and writes
@@ -35,19 +35,12 @@
 
 namespace {
 
+/// One "key@start -> cause" line per diagnosis, in emission order.
 std::string fingerprint(const std::vector<grca::core::Diagnosis>& diagnoses) {
-  std::vector<std::string> lines;
-  lines.reserve(diagnoses.size());
-  for (const grca::core::Diagnosis& d : diagnoses) {
-    lines.push_back(d.symptom.where.key() + "@" +
-                    std::to_string(d.symptom.when.start) + " -> " +
-                    d.primary());
-  }
-  std::sort(lines.begin(), lines.end());
   std::string out;
-  for (const std::string& line : lines) {
-    out += line;
-    out += '\n';
+  for (const grca::core::Diagnosis& d : diagnoses) {
+    out += d.symptom.where.key() + "@" + std::to_string(d.symptom.when.start) +
+           " -> " + d.primary() + "\n";
   }
   return out;
 }
@@ -113,15 +106,15 @@ int main(int argc, char** argv) {
   base.source_lag = 120;
   base.record_jitter = 60;
 
-  util::TextTable table({"Ingest threads", "Wall (s)", "Records/s",
+  util::TextTable table({"Diagnosis threads", "Wall (s)", "Records/s",
                          "M records/min", "p50 (us)", "p99 (us)",
-                         "Queue HW", "Conserved"});
+                         "Conserved"});
   std::string reference;
   bool deterministic = true;
   bool conserved = true;
-  for (unsigned threads : {1u, 2u, 4u}) {
+  for (unsigned threads : {1u, 4u}) {
     apps::ReplayOptions options = base;
-    options.ingest_threads = threads;
+    options.stream.threads = threads;
     apps::FeedReplayer replayer(world.rca_net, options);
     apps::ReplayReport report =
         replayer.replay(study.records, apps::bgp::build_graph());
@@ -138,17 +131,14 @@ int main(int argc, char** argv) {
                    util::format_double(report.records_per_min() / 1e6, 2),
                    util::format_double(report.ingest_p50_us, 2),
                    util::format_double(report.ingest_p99_us, 2),
-                   std::to_string(report.queue_high_water),
                    report.conservation.conserved() ? "yes" : "NO"});
   }
   std::fputs(table.render("feed replay scaling (max rate)").c_str(), stdout);
-  std::printf("diagnosis sets across thread counts: %s\n",
+  std::printf("diagnoses at 1 and 4 threads: %s\n",
               deterministic ? "byte-identical" : "DIVERGED");
 
   // The gated run: truth coverage + batch verdict diff, archived as JSON.
-  apps::ReplayOptions gated = base;
-  gated.ingest_threads = 2;
-  apps::FeedReplayer replayer(world.rca_net, gated);
+  apps::FeedReplayer replayer(world.rca_net, base);
   apps::ReplayReport report =
       replayer.replay(study.records, apps::bgp::build_graph(), &study.truth,
                       apps::bgp::canonical_cause);

@@ -30,7 +30,6 @@
 #include <memory>
 #include <optional>
 #include <set>
-#include <thread>
 
 #include "collector/extract.h"
 #include "collector/normalizer.h"
@@ -55,11 +54,11 @@ struct StreamingOptions {
   util::TimeSec settle = 600;
   /// Maximum tolerated arrival skew; older records are dropped and counted.
   util::TimeSec max_skew = util::kHour;
-  /// Diagnosis workers between event freezing and diagnosis: 0 or 1
-  /// diagnoses inline on the caller's thread; N > 1 starts N persistent
-  /// workers fed through a bounded queue. Diagnoses are returned in the
-  /// same order as the serial run regardless of worker count.
-  unsigned workers = 1;
+  /// Diagnosis threads, as in RcaEngine::diagnose_all: 1 diagnoses inline
+  /// on the caller's thread, 0 means hardware concurrency, and N > 1 keeps
+  /// one N-thread pool for the engine's lifetime that each ready batch fans
+  /// out over. Diagnoses come back in the serial order at every count.
+  unsigned threads = 1;
   collector::ExtractOptions extract;
   /// Write-ahead persistence (empty = off): every frozen event is appended
   /// to the segmented event log at this directory the moment it enters the
@@ -81,8 +80,7 @@ class StreamingRca {
   StreamingRca(const topology::Network& net, core::DiagnosisGraph graph,
                StreamingOptions options = {});
 
-  /// Drains the diagnosis worker stage (closes the job queue, joins the
-  /// workers). Any batch in flight completes first.
+  /// Out of line: EventLogWriter is an incomplete type here.
   ~StreamingRca();
 
   /// Feeds one raw record. Records may arrive out of order by up to
@@ -139,26 +137,15 @@ class StreamingRca {
   /// Freezes the events starting in [frozen_cut_, new_cut) into the store
   /// and replays routing up to the new cut.
   void freeze_until(util::TimeSec new_cut);
-  /// Diagnoses frozen, settled, not-yet-diagnosed symptoms. With workers
-  /// configured, the batch is pushed through the bounded queue and this
-  /// call blocks until the whole batch is diagnosed — the store is never
-  /// mutated while workers are running.
+  /// Diagnoses frozen, settled, not-yet-diagnosed symptoms. With a pool
+  /// the batch fans out over it and this call blocks until the whole batch
+  /// is diagnosed, so the store never moves while the pool is running.
   std::vector<core::Diagnosis> diagnose_ready(util::TimeSec ready_cut);
   /// Publishes high_water - frozen_cut to the freeze-lag gauge.
   void update_freeze_lag();
   /// Seals the persistence log at the current freeze cut when the seal
   /// cadence has elapsed (`force` ignores the cadence — drain()).
   void maybe_seal(bool force);
-
-  /// Join state for one in-flight diagnosis batch (defined in streaming.cpp).
-  struct Batch;
-  /// One slot of an in-flight diagnosis batch, handed to a worker.
-  struct DiagnosisJob {
-    const core::EventInstance* symptom = nullptr;
-    std::size_t slot = 0;
-    Batch* batch = nullptr;
-  };
-  void worker_loop();
 
   const topology::Network& net_;
   StreamingOptions options_;
@@ -176,11 +163,9 @@ class StreamingRca {
   util::TimeSec last_seal_cut_ = std::numeric_limits<util::TimeSec>::min();
   std::optional<util::TimeSec> resumed_from_;
 
-  /// Worker stage between event ingestion and diagnosis: ingestion (the
-  /// caller's thread) produces frozen symptom batches into the bounded
-  /// queue; the workers consume and diagnose. Empty when workers <= 1.
-  std::unique_ptr<util::BoundedQueue<DiagnosisJob>> jobs_;
-  std::vector<std::thread> workers_;
+  /// Diagnosis pool (see StreamingOptions::threads); null when diagnosis
+  /// runs inline.
+  std::unique_ptr<util::ThreadPool> pool_;
 
   /// Monitor records awaiting routing replay, sorted by utc from
   /// routing_head_ on (the replayed prefix is dropped in bulk).
@@ -198,7 +183,6 @@ class StreamingRca {
 
   // Streaming instrumentation (null when no registry is installed).
   obs::Gauge* freeze_lag_gauge_ = nullptr;
-  obs::Gauge* queue_depth_gauge_ = nullptr;
   obs::Histogram* batch_seconds_ = nullptr;
   obs::Histogram* batch_size_ = nullptr;
 };

@@ -201,9 +201,19 @@ Diagnosis RcaEngine::diagnose(const EventInstance& symptom) const {
 
 std::vector<Diagnosis> RcaEngine::diagnose_all(unsigned threads) const {
   std::span<const EventInstance> symptoms = store_.all(graph_.root());
-  std::vector<Diagnosis> out(symptoms.size());
   if (threads == 0) threads = util::ThreadPool::default_threads();
   if (threads <= 1 || symptoms.size() < 2) {
+    return diagnose_each(symptoms, nullptr);
+  }
+  util::ThreadPool pool(
+      static_cast<unsigned>(std::min<std::size_t>(threads, symptoms.size())));
+  return diagnose_each(symptoms, &pool);
+}
+
+std::vector<Diagnosis> RcaEngine::diagnose_each(
+    std::span<const EventInstance> symptoms, util::ThreadPool* pool) const {
+  std::vector<Diagnosis> out(symptoms.size());
+  if (pool == nullptr || symptoms.size() < 2) {
     for (std::size_t i = 0; i < symptoms.size(); ++i) {
       out[i] = diagnose(symptoms[i]);
     }
@@ -212,10 +222,8 @@ std::vector<Diagnosis> RcaEngine::diagnose_all(unsigned threads) const {
   // Pay every lazy bucket sort from this thread; afterwards all store
   // queries issued by the workers are read-only.
   store_.warm();
-  util::ThreadPool pool(
-      static_cast<unsigned>(std::min<std::size_t>(threads, symptoms.size())));
-  pool.parallel_for(0, symptoms.size(),
-                    [&](std::size_t i) { out[i] = diagnose(symptoms[i]); });
+  pool->parallel_for(0, symptoms.size(),
+                     [&](std::size_t i) { out[i] = diagnose(symptoms[i]); });
   return out;
 }
 

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -21,6 +22,10 @@
 #include "core/join_cache.h"
 #include "core/location.h"
 #include "obs/metrics.h"
+
+namespace grca::util {
+class ThreadPool;
+}  // namespace grca::util
 
 namespace grca::core {
 
@@ -77,10 +82,18 @@ class RcaEngine {
 
   /// Diagnoses every stored instance of the root symptom event. With
   /// threads > 1 the symptoms are fanned out over a thread pool (0 means
-  /// hardware concurrency); the store is warmed first so queries are
-  /// read-only. The result is identical — same diagnoses, same order — for
-  /// every thread count.
+  /// hardware concurrency). The result is identical — same diagnoses, same
+  /// order — for every thread count.
   std::vector<Diagnosis> diagnose_all(unsigned threads = 1) const;
+
+  /// The one fan-out behind diagnose_all and the streaming engine: slot i
+  /// of the result diagnoses symptoms[i]. With a pool and at least two
+  /// symptoms the store is warmed first, so the workers' queries are
+  /// read-only, and parallel_for spreads the symptoms over the pool;
+  /// otherwise they run inline on the caller's thread. `symptoms` must not
+  /// move until the call returns.
+  std::vector<Diagnosis> diagnose_each(std::span<const EventInstance> symptoms,
+                                       util::ThreadPool* pool) const;
 
   const DiagnosisGraph& graph() const noexcept { return graph_; }
 

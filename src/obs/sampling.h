@@ -1,13 +1,13 @@
 // Copyright (c) 2026 The G-RCA Reproduction Authors.
 // SPDX-License-Identifier: MIT
 //
-// Registry sampling: gauges (queue depth, freeze lag) are instantaneous —
+// Registry sampling: gauges (freeze lag, feed gaps) are instantaneous —
 // an end-of-run report that reads them once sees only the final value,
 // which for a drained pipeline is always zero. RegistrySampler snapshots
 // the registry at a caller-chosen cadence (each replay tick, each poll
 // interval) and keeps the peak per gauge plus the delta per counter since
 // construction, turning the live registry into high-water marks a report
-// can cite ("queue depth never exceeded 37").
+// can cite ("freeze lag never exceeded 3900 s").
 #pragma once
 
 #include <cstdint>

@@ -71,28 +71,31 @@
 //       wall-clock timing so every rendering is byte-stable.
 //
 //   grca replay [--study bgp|cdn|pim|innet] [--data DIR]
-//               [--rate N[x]|max] [--ingest-threads N] [--workers N]
-//               [--tick SEC] [--source-lag SEC] [--jitter SEC] [--seed S]
+//               [--rate N[x]|max] [--threads N] [--tick SEC]
+//               [--source-lag SEC] [--jitter SEC] [--seed S]
 //               [--days N] [--symptoms N] [--paper-scale] [--report-out FILE]
 //               [--metrics-out FILE] [--min-rate RECORDS_PER_MIN] [--no-truth]
 //               [--persist DIR] [--persist-seal-every SEC]
 //       Replay a recorded corpus (--data) or a freshly generated default
 //       scenario through the streaming RCA engine at a scaled (or maximum)
-//       rate, sharded over N ingest threads with seeded per-source arrival
-//       skew, and print the replay report: throughput, ingest latency
-//       percentiles, queue high-water, per-source feed health, the record
+//       rate, in one arrival order sorted from seeded per-source lag and
+//       per-record jitter, and print the replay report: throughput, ingest
+//       latency percentiles, per-source feed health, the record
 //       conservation check, and (unless --no-truth) ground-truth coverage
-//       plus a streaming-vs-batch verdict diff. Exits nonzero when a check
-//       fails or the sustained rate is below --min-rate. --persist appends
-//       every frozen event to the event log at DIR and seals a segment every
-//       --persist-seal-every stream-seconds (default 3600); a DIR that
-//       already holds sealed segments resumes from the newest watermark.
+//       plus a streaming-vs-batch verdict diff. --threads diagnoses each
+//       ready batch over N threads (default 1 = inline, 0 = hardware
+//       concurrency); the answers are the same at every N. Exits nonzero
+//       when a check fails or the sustained rate is below --min-rate.
+//       --persist appends every frozen event to the event log at DIR and
+//       seals a segment every --persist-seal-every stream-seconds (default
+//       3600); a DIR that already holds sealed segments resumes from the
+//       newest watermark.
 //
 //   grca serve --study bgp|cdn|pim|innet [--data DIR] [--port N]
 //              [--port-file FILE] [--http-threads N] [--api-dump DIR]
 //              [--once] [--public] [--follow] [--rate N[x]|max] [--tick SEC]
-//              [--idle-ticks N] [--alert-rules FILE] [--workers N]
-//              [--persist DIR] [--persist-seal-every SEC] [--threads N]
+//              [--idle-ticks N] [--alert-rules FILE] [--threads N]
+//              [--persist DIR] [--persist-seal-every SEC]
 //              [--days N] [--symptoms N] [--seed S] [--paper-scale]
 //       Run a diagnosis and serve it over HTTP: GET /metrics (Prometheus
 //       scrape), /api/breakdown, /api/trending, /api/drilldown/{cause},
@@ -108,7 +111,10 @@
 //       so a live curl and the dump are byte-identical; --once exits after
 //       the dump instead of serving. SIGINT/SIGTERM shut down gracefully:
 //       the stream drains, the persistence watermark seals, listeners
-//       close.
+//       close. --threads is the diagnosis thread count in both modes
+//       (0 = hardware concurrency; default 0 in batch mode, 1 with
+//       --follow). --persist, --persist-seal-every, --rate, --tick and
+//       --idle-ticks only apply to --follow; batch mode rejects them.
 //
 //   grca store inspect|verify|compact --dir DIR [--deep]
 //       Operate on a persisted event log. `inspect` prints per-segment
@@ -217,16 +223,16 @@ namespace {
              [--gate-out FILE] [--rules-out FILE] [--metrics-out FILE]
              [--span-log FILE]
   grca replay [--study bgp|cdn|pim|innet] [--data DIR] [--rate N[x]|max]
-              [--ingest-threads N] [--workers N] [--tick SEC]
-              [--source-lag SEC] [--jitter SEC] [--seed S] [--days N]
-              [--symptoms N] [--paper-scale] [--report-out FILE]
-              [--metrics-out FILE] [--min-rate RECORDS_PER_MIN] [--no-truth]
+              [--threads N] [--tick SEC] [--source-lag SEC] [--jitter SEC]
+              [--seed S] [--days N] [--symptoms N] [--paper-scale]
+              [--report-out FILE] [--metrics-out FILE]
+              [--min-rate RECORDS_PER_MIN] [--no-truth]
               [--persist DIR] [--persist-seal-every SEC]
   grca serve --study bgp|cdn|pim|innet [--data DIR] [--port N]
              [--port-file FILE] [--http-threads N] [--api-dump DIR] [--once]
              [--public] [--follow] [--rate N[x]|max] [--tick SEC]
-             [--idle-ticks N] [--alert-rules FILE] [--workers N]
-             [--persist DIR] [--persist-seal-every SEC] [--threads N]
+             [--idle-ticks N] [--alert-rules FILE] [--threads N]
+             [--persist DIR] [--persist-seal-every SEC]
              [--days N] [--symptoms N] [--seed S] [--paper-scale]
   grca store inspect --dir DIR
   grca store verify --dir DIR [--deep]
@@ -292,6 +298,13 @@ struct Args {
       throw ConfigError("--" + key + ": expected an integer, got '" +
                         it->second.back() + "'");
     }
+  }
+  /// --threads as a thread count (0 = hardware concurrency); a negative
+  /// value is a usage error.
+  unsigned get_threads(long fallback) const {
+    long threads = get_long("threads", fallback);
+    if (threads < 0) usage("--threads must be >= 0");
+    return static_cast<unsigned>(threads);
   }
 };
 
@@ -499,10 +512,8 @@ StudyRun run_study(const Args& args) {
     }
     graph.validate();
   }
-  long threads = args.get_long("threads", 0);  // 0 = hardware concurrency
-  if (threads < 0) usage("--threads must be >= 0");
-  run.diagnoses = run.pipeline->diagnose_all(std::move(graph),
-                                             static_cast<unsigned>(threads));
+  run.diagnoses =
+      run.pipeline->diagnose_all(std::move(graph), args.get_threads(0));
   return run;
 }
 
@@ -624,6 +635,8 @@ int cmd_calibrate(const Args& args) {
 int cmd_replay(const Args& args) {
   std::string study = args.get("study", "bgp");
   StudyHooks hooks = hooks_for(study);
+  apps::ReplayOptions opt;
+  opt.stream.threads = args.get_threads(1);
 
   // Source data: a recorded corpus, or a freshly generated default scenario
   // (a two-week study at paper-like symptom density).
@@ -636,7 +649,6 @@ int cmd_replay(const Args& args) {
         generate_corpus(args, study, StudyDefaults{14, 1000}));
   }
 
-  apps::ReplayOptions opt;
   std::string rate = args.get("rate", "max");
   if (rate != "max") {
     if (!rate.empty() && rate.back() == 'x') rate.pop_back();
@@ -647,9 +659,6 @@ int cmd_replay(const Args& args) {
     }
     if (opt.rate <= 0) usage("--rate must be a positive factor or 'max'");
   }
-  opt.ingest_threads =
-      static_cast<unsigned>(args.get_long("ingest-threads", 2));
-  opt.stream.workers = static_cast<unsigned>(args.get_long("workers", 1));
   opt.tick = args.get_long("tick", 300);
   opt.source_lag = args.get_long("source-lag", 120);
   opt.record_jitter = args.get_long("jitter", 60);
@@ -745,6 +754,21 @@ int cmd_serve(const Args& args) {
   StudyHooks hooks = hooks_for(study);
   bool follow = args.flags.count("follow") > 0;
   bool once = args.flags.count("once") > 0;
+  if (!follow) {
+    // Batch mode reads none of the streaming flags: name the first one given
+    // rather than ignore it.
+    for (const char* key :
+         {"persist", "persist-seal-every", "rate", "tick", "idle-ticks"}) {
+      if (args.values.count(key)) {
+        usage(std::string("--") + key + " needs --follow");
+      }
+    }
+  }
+  // Diagnosis threads in both modes; streaming batches are small, so
+  // --follow diagnoses inline unless asked otherwise.
+  const unsigned threads = args.get_threads(follow ? 1 : 0);
+  const long http_threads = args.get_long("http-threads", 1);
+  if (http_threads < 0) usage("--http-threads must be >= 0");
 
   std::unique_ptr<sim::ReplayCorpus> corpus;
   if (auto it = args.values.find("data"); it != args.values.end()) {
@@ -758,7 +782,7 @@ int cmd_serve(const Args& args) {
 
   service::ServicePlaneOptions popt;
   popt.port = static_cast<std::uint16_t>(args.get_long("port", 0));
-  popt.http_threads = static_cast<unsigned>(args.get_long("http-threads", 1));
+  popt.http_threads = static_cast<unsigned>(http_threads);
   popt.loopback_only = args.flags.count("public") == 0;
   service::ServicePlane plane(popt);
   {
@@ -776,11 +800,8 @@ int cmd_serve(const Args& args) {
     apps::Pipeline pipeline(corpus->network, corpus->records,
                             collector::ExtractOptions{},
                             observers_for(study, corpus->network));
-    long threads = args.get_long("threads", 0);
-    if (threads < 0) usage("--threads must be >= 0");
     std::vector<core::Diagnosis> diagnoses =
-        pipeline.diagnose_all(std::move(graph),
-                              static_cast<unsigned>(threads));
+        pipeline.diagnose_all(std::move(graph), threads);
     // The stream clock echoed by /api/health: end of the diagnosed data
     // (deterministic, so batch dumps are reproducible run to run).
     util::TimeSec now = 0;
@@ -808,7 +829,7 @@ int cmd_serve(const Args& args) {
   core::DiagnosisGraph graph = hooks.graph();
   service::add_missing_data_support(graph);
   apps::StreamingOptions sopt;
-  sopt.workers = static_cast<unsigned>(args.get_long("workers", 1));
+  sopt.threads = threads;
   if (auto it = args.values.find("persist"); it != args.values.end()) {
     sopt.persist_dir = fs::path(it->second.back());
     sopt.persist_seal_every =
@@ -1085,9 +1106,7 @@ int cmd_benchmark(const Args& args) {
   options.days = static_cast<int>(args.get_long("days", 3));
   options.target_symptoms = static_cast<int>(args.get_long("symptoms", 120));
   options.seed = static_cast<std::uint64_t>(args.get_long("seed", 29));
-  long threads = args.get_long("threads", 0);
-  if (threads < 0) usage("--threads must be >= 0");
-  options.threads = static_cast<unsigned>(threads);
+  options.threads = args.get_threads(0);
   try {
     options.noise = std::stod(args.get("noise", "1.0"));
   } catch (const std::exception&) {
@@ -1169,9 +1188,7 @@ int cmd_learn(const Args& args) {
   long budget = args.get_long("budget", 24);
   if (budget < 1) usage("--budget must be >= 1");
   options.loop.candidate_budget = static_cast<std::size_t>(budget);
-  long threads = args.get_long("threads", 0);
-  if (threads < 0) usage("--threads must be >= 0");
-  options.loop.threads = static_cast<unsigned>(threads);
+  options.loop.threads = args.get_threads(0);
   try {
     options.loop.mine.nice.min_score =
         std::stod(args.get("min-score", "0.15"));
@@ -1339,10 +1356,10 @@ int main(int argc, char** argv) {
     if (command == "replay") {
       return cmd_replay(Args::parse(
           argc, argv, 2, command,
-          kCorpusFlags + FlagSet{"study", "data", "rate", "ingest-threads",
-                                 "workers", "tick", "source-lag", "jitter",
-                                 "persist", "persist-seal-every",
-                                 "report-out", "metrics-out", "min-rate"},
+          kCorpusFlags + FlagSet{"study", "data", "rate", "threads", "tick",
+                                 "source-lag", "jitter", "persist",
+                                 "persist-seal-every", "report-out",
+                                 "metrics-out", "min-rate"},
           {"no-truth", "paper-scale"}));
     }
     if (command == "serve") {
@@ -1350,7 +1367,7 @@ int main(int argc, char** argv) {
           argc, argv, 2, command,
           kCorpusFlags + FlagSet{"study", "data", "port", "port-file",
                                  "http-threads", "threads", "api-dump",
-                                 "alert-rules", "workers", "persist",
+                                 "alert-rules", "persist",
                                  "persist-seal-every", "rate", "tick",
                                  "idle-ticks"},
           {"follow", "once", "public", "paper-scale"}));

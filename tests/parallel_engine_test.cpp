@@ -189,7 +189,7 @@ TEST(EventStoreFreeze, WarmMakesQueriesReadOnly) {
   for (std::size_t count : counts) EXPECT_EQ(count, 100u);
 }
 
-/// Streaming fixture: the same BGP study both serial and with workers.
+/// Streaming fixture: the same BGP study inline and over a thread pool.
 struct StreamScenario {
   t::Network sim_net;
   t::Network rca_net;
@@ -209,12 +209,12 @@ struct StreamScenario {
     study = sim::run_bgp_study(sim_net, params);
   }
 
-  std::vector<core::Diagnosis> run(unsigned workers) const {
+  std::vector<core::Diagnosis> run(unsigned threads) const {
     apps::StreamingOptions options;
     options.freeze_horizon = 900;
     options.settle = 400;
     options.extract.flap_pair_window = 600;
-    options.workers = workers;
+    options.threads = threads;
     apps::StreamingRca stream(rca_net, apps::bgp::build_graph(), options);
     std::vector<core::Diagnosis> out;
     util::TimeSec next_tick = study.records.front().true_utc;
@@ -233,19 +233,24 @@ struct StreamScenario {
 TEST(ParallelStreaming, WorkerStageIdenticalToSerial) {
   StreamScenario scenario;
   auto serial = scenario.run(1);
-  auto parallel = scenario.run(4);
   ASSERT_GT(serial.size(), 10u);
-  ASSERT_EQ(serial.size(), parallel.size());
-  // Separate StreamingRca instances own separate stores, so compare by
-  // value (symptom identity, verdict, evidence shape), in order.
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].symptom, parallel[i].symptom) << "diagnosis " << i;
-    EXPECT_EQ(serial[i].primary(), parallel[i].primary()) << "diagnosis " << i;
-    ASSERT_EQ(serial[i].evidence.size(), parallel[i].evidence.size());
-    for (std::size_t j = 0; j < serial[i].evidence.size(); ++j) {
-      EXPECT_EQ(serial[i].evidence[j].event, parallel[i].evidence[j].event);
-      EXPECT_EQ(serial[i].evidence[j].instances.size(),
-                parallel[i].evidence[j].instances.size());
+  // 0 means hardware concurrency: a pool on a multi-core host, inline on
+  // one core. Both must match the inline run.
+  for (unsigned threads : {0u, 4u}) {
+    auto parallel = scenario.run(threads);
+    ASSERT_EQ(serial.size(), parallel.size()) << "threads " << threads;
+    // Separate StreamingRca instances own separate stores, so compare by
+    // value (symptom identity, verdict, evidence shape), in order.
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(serial[i].symptom, parallel[i].symptom) << "diagnosis " << i;
+      EXPECT_EQ(serial[i].primary(), parallel[i].primary())
+          << "diagnosis " << i;
+      ASSERT_EQ(serial[i].evidence.size(), parallel[i].evidence.size());
+      for (std::size_t j = 0; j < serial[i].evidence.size(); ++j) {
+        EXPECT_EQ(serial[i].evidence[j].event, parallel[i].evidence[j].event);
+        EXPECT_EQ(serial[i].evidence[j].instances.size(),
+                  parallel[i].evidence[j].instances.size());
+      }
     }
   }
 }

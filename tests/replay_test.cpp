@@ -2,9 +2,9 @@
 // SPDX-License-Identifier: MIT
 //
 // Tests for the high-rate feed replay harness: record conservation,
-// streaming-vs-batch differential equivalence at max rate, permutation
-// determinism across ingest thread counts, late-drop accounting beyond
-// max_skew, streaming preconditions, and worker-count parity.
+// streaming-vs-batch differential equivalence at max rate, determinism
+// across seeded arrival permutations, late-drop accounting beyond
+// max_skew, streaming preconditions, and diagnosis thread-count parity.
 
 #include <gtest/gtest.h>
 
@@ -93,7 +93,6 @@ void expect_conserved(const ReplayReport& report) {
 TEST(Replay, MaxRateMatchesBatchVerdicts) {
   const ReplayFixture& f = fixture();
   ReplayOptions options = f.replay_options();
-  options.ingest_threads = 4;
   options.source_lag = 120;
   options.record_jitter = 60;
   FeedReplayer replayer(f.rca_net, options);
@@ -118,7 +117,6 @@ TEST(Replay, MaxRateMatchesBatchVerdicts) {
 TEST(Replay, ReportCarriesObservability) {
   const ReplayFixture& f = fixture();
   ReplayOptions options = f.replay_options();
-  options.ingest_threads = 2;
   FeedReplayer replayer(f.rca_net, options);
   ReplayReport report = replayer.replay(f.study.records, bgp::build_graph());
 
@@ -137,34 +135,30 @@ TEST(Replay, ReportCarriesObservability) {
   EXPECT_NE(render_text(report).find("PASSED"), std::string::npos);
 }
 
-// ---- Property: permutation determinism across ingest threads ---------------
+// ---- Property: determinism across arrival permutations --------------------
 
-TEST(Replay, DeterministicAcrossIngestThreadCounts) {
+TEST(Replay, DeterministicAcrossArrivalPermutations) {
   const ReplayFixture& f = fixture();
-  // Delays stay below min(max_skew, freeze_horizon): no record can be
-  // late-dropped, so every permutation must produce the same diagnosis set.
+  // Each seed draws a different arrival order. Delays stay below
+  // min(max_skew, freeze_horizon), so no record can be late-dropped and
+  // every permutation must produce the same diagnosis set.
+  std::string reference;
   for (std::uint64_t seed : {1ull, 7ull, 13ull}) {
-    std::string reference;
-    for (unsigned threads : {1u, 2u, 4u}) {
-      ReplayOptions options = f.replay_options();
-      options.ingest_threads = threads;
-      options.seed = seed;
-      options.source_lag = 200;
-      options.record_jitter = 100;
-      FeedReplayer replayer(f.rca_net, options);
-      ReplayReport report = replayer.replay(f.study.records, bgp::build_graph());
-      expect_conserved(report);
-      EXPECT_EQ(report.conservation.dropped_late, 0u)
-          << "seed " << seed << " threads " << threads;
-      std::string fp = fingerprint(report.diagnoses);
-      if (reference.empty()) {
-        reference = fp;
-        EXPECT_FALSE(reference.empty());
-      } else {
-        EXPECT_EQ(fp, reference)
-            << "seed " << seed << " threads " << threads
-            << ": diagnosis set diverged";
-      }
+    ReplayOptions options = f.replay_options();
+    options.seed = seed;
+    options.source_lag = 200;
+    options.record_jitter = 100;
+    FeedReplayer replayer(f.rca_net, options);
+    ReplayReport report = replayer.replay(f.study.records, bgp::build_graph());
+    expect_conserved(report);
+    EXPECT_EQ(report.conservation.dropped_late, 0u) << "seed " << seed;
+    std::string fp = fingerprint(report.diagnoses);
+    if (reference.empty()) {
+      reference = fp;
+      EXPECT_FALSE(reference.empty());
+    } else {
+      EXPECT_EQ(fp, reference) << "seed " << seed
+                               << ": diagnosis set diverged";
     }
   }
 }
@@ -172,7 +166,6 @@ TEST(Replay, DeterministicAcrossIngestThreadCounts) {
 TEST(Replay, BeyondMaxSkewRecordsAreDroppedAndAccounted) {
   const ReplayFixture& f = fixture();
   ReplayOptions options = f.replay_options();
-  options.ingest_threads = 2;
   // Tolerate almost no skew while delivering with heavy per-source lag:
   // a chunk of the stream must arrive beyond max_skew and be dropped.
   options.stream.max_skew = 30;
@@ -222,16 +215,15 @@ TEST(Replay, DrainIsIdempotentAndLateDropsAfterwards) {
   EXPECT_TRUE(stream.drain().empty());
 }
 
-// ---- Worker-count parity ---------------------------------------------------
+// ---- Diagnosis thread-count parity -----------------------------------------
 
 TEST(Replay, WorkerCountsZeroOneAndFourAreEquivalent) {
   const ReplayFixture& f = fixture();
   std::string reference;
   std::size_t ref_stored = 0, ref_drops = 0;
-  for (unsigned workers : {0u, 1u, 4u}) {
+  for (unsigned threads : {0u, 1u, 4u}) {
     ReplayOptions options = f.replay_options();
-    options.ingest_threads = 2;
-    options.stream.workers = workers;
+    options.stream.threads = threads;
     options.source_lag = 120;
     options.record_jitter = 60;
     FeedReplayer replayer(f.rca_net, options);
@@ -244,11 +236,11 @@ TEST(Replay, WorkerCountsZeroOneAndFourAreEquivalent) {
       ref_drops = report.conservation.dropped_late;
       EXPECT_FALSE(reference.empty());
     } else {
-      EXPECT_EQ(fp, reference) << "workers " << workers;
+      EXPECT_EQ(fp, reference) << "threads " << threads;
       EXPECT_EQ(report.conservation.stored, ref_stored)
-          << "workers " << workers;
+          << "threads " << threads;
       EXPECT_EQ(report.conservation.dropped_late, ref_drops)
-          << "workers " << workers;
+          << "threads " << threads;
     }
   }
 }
@@ -271,7 +263,6 @@ TEST(Replay, CorpusRoundTripsThroughArchive) {
   // A replay over the re-read corpus (config-rebuilt network twin) produces
   // the same diagnosis set as one over the in-memory originals.
   ReplayOptions options = f.replay_options();
-  options.ingest_threads = 2;
   FeedReplayer original(f.rca_net, options);
   FeedReplayer reread(corpus.network, options);
   std::string fp_original =
