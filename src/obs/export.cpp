@@ -41,10 +41,16 @@ std::string with_label(const std::string& base, const std::string& labels,
 const char* family_help(const std::string& family) {
   static const std::map<std::string, const char*> kHelp = {
       {"grca_events_total", "Event instances added to the event store"},
-      {"grca_diagnoses_total", "Symptom instances diagnosed"},
-      {"grca_rule_evals_total", "Diagnosis-graph rule evaluations"},
-      {"grca_evidence_matches_total", "Rules that produced joined evidence"},
-      {"grca_diagnosis_seconds", "Wall time per symptom diagnosis"},
+      {"grca_engine_diagnoses_total", "Symptom instances diagnosed"},
+      {"grca_engine_rule_evals_total", "Diagnosis-graph rule evaluations"},
+      {"grca_engine_evidence_matches_total",
+       "Rules that produced joined evidence"},
+      {"grca_engine_diagnosis_seconds", "Wall time per symptom diagnosis"},
+      {"grca_join_cache_hits", "Join-cache lookups answered from the cache"},
+      {"grca_join_cache_misses",
+       "Join-cache lookups that computed a new entry"},
+      {"grca_join_cache_entries", "Entries held in the join cache"},
+      {"grca_stage_seconds", "Wall time per pipeline stage"},
       {"grca_feed_records_total", "Raw records accepted per telemetry feed"},
       {"grca_feed_rejected_total", "Records rejected by the collector"},
       {"grca_feed_late_drops_total",
@@ -54,7 +60,8 @@ const char* family_help(const std::string& family) {
       {"grca_feed_gap_seconds", "Stream-clock silence per feed"},
       {"grca_feed_silent", "1 when a feed is silent beyond its cadence"},
       {"grca_feed_lag_seconds", "Arrival lag (arrival - event time)"},
-      {"grca_freeze_lag_seconds", "Stream high-water minus freeze cut"},
+      {"grca_streaming_freeze_lag_seconds",
+       "Stream high-water minus freeze cut"},
       {"grca_streaming_batch_seconds", "Wall time per diagnosis batch"},
       {"grca_streaming_batch_size", "Symptoms per diagnosis batch"},
       {"grca_http_connections_total", "HTTP connections accepted"},

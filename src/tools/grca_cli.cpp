@@ -11,10 +11,11 @@
 //                 [--store-out DIR]
 //       Generate a synthetic ISP + study workload; write the router config
 //       snapshots, the layer-1 inventory, the raw telemetry archive and the
-//       ground-truth labels under DIR. --store-out additionally runs the
-//       collector once and persists the extracted event store as a sealed
-//       segmented event log (see docs/STORAGE.md), which `diagnose --store`
-//       can reopen without re-extracting.
+//       ground-truth labels under DIR. --store-out additionally reads DIR
+//       back, runs the collector over it once as `diagnose --data DIR`
+//       does, and persists the extracted event store as a sealed segmented
+//       event log (see docs/STORAGE.md), which `diagnose --store` can
+//       reopen without re-extracting.
 //
 //   grca diagnose --study bgp|cdn|pim|innet --data DIR
 //                 [--dsl FILE]... [--threads N] [--trend] [--score]
@@ -40,7 +41,7 @@
 //       metrics registry instead of the breakdown: per-source feed
 //       counts/lag/gaps, per-stage latency histograms, engine counters.
 //
-//   grca calibrate --study bgp|cdn|pim --data DIR [--store DIR]
+//   grca calibrate --study bgp|cdn|pim|innet --data DIR [--store DIR]
 //                  --symptom EVENT --diagnostic EVENT --join LEVEL
 //       Learn temporal margins for a rule from the archived data (§VI),
 //       over the same events `diagnose` sees for the study. --store reads
@@ -88,8 +89,9 @@
 //       when a check fails or the sustained rate is below --min-rate.
 //       --persist appends every frozen event to the event log at DIR and
 //       seals a segment every --persist-seal-every stream-seconds (default
-//       3600); a DIR that already holds sealed segments resumes from the
-//       newest watermark.
+//       3600; a usage error without --persist); a DIR that already holds
+//       sealed segments resumes from the newest watermark. --tick (default
+//       300) must be positive.
 //
 //   grca serve --study bgp|cdn|pim|innet [--data DIR] [--port N]
 //              [--port-file FILE] [--http-threads N] [--api-dump DIR]
@@ -114,7 +116,8 @@
 //       close. --threads is the diagnosis thread count in both modes
 //       (0 = hardware concurrency; default 0 in batch mode, 1 with
 //       --follow). --persist, --persist-seal-every, --rate, --tick and
-//       --idle-ticks only apply to --follow; batch mode rejects them.
+//       --idle-ticks only apply to --follow; batch mode rejects them, and
+//       --follow checks them as `replay` does.
 //
 //   grca store inspect|verify|compact --dir DIR [--deep]
 //       Operate on a persisted event log. `inspect` prints per-segment
@@ -212,7 +215,7 @@ namespace {
   grca metrics --study bgp|cdn|pim|innet --data DIR [--threads N]
                [--format prometheus|json] [--store DIR] [--dsl FILE]...
                [--span-log FILE]
-  grca calibrate --study bgp|cdn|pim --data DIR [--store DIR]
+  grca calibrate --study bgp|cdn|pim|innet --data DIR [--store DIR]
                  --symptom EVENT --diagnostic EVENT --join LEVEL
   grca learn (--study bgp|cdn|pim|innet --data DIR [--store DIR]
              | --topology FILE --scenario CLASS [--days N] [--symptoms N]
@@ -308,30 +311,69 @@ struct Args {
   }
 };
 
-struct StudyHooks {
+/// A workload's size: days of data and target symptom count.
+struct Scale {
+  int days;
+  int symptoms;
+};
+
+/// One row per study: everything a command needs to know about a G-RCA
+/// application. Every command finds its study here, by name, and nowhere
+/// else.
+struct Study {
+  const char* name;
   core::DiagnosisGraph (*graph)();
   void (*browser)(core::ResultBrowser&);
   std::string (*canonical)(const std::string&);
+  /// `simulate` defaults, matching the scale of the paper's case studies.
+  Scale scale;
+  sim::StudyOutput (*workload)(const topology::Network&, Scale,
+                               std::uint64_t seed);
+  /// Routers at which BGP egress changes are evaluated.
+  std::vector<topology::RouterId> (*observers)(const topology::Network&);
 };
 
-StudyHooks hooks_for(const std::string& study) {
-  if (study == "bgp") {
-    return {apps::bgp::build_graph, apps::bgp::configure_browser,
-            apps::bgp::canonical_cause};
+template <typename Params,
+          sim::StudyOutput (*Run)(const topology::Network&, const Params&)>
+sim::StudyOutput workload(const topology::Network& net, Scale scale,
+                          std::uint64_t seed) {
+  Params params;
+  params.days = scale.days;
+  params.target_symptoms = scale.symptoms;
+  params.seed = seed;
+  return Run(net, params);
+}
+
+std::vector<topology::RouterId> no_observers(const topology::Network&) {
+  return {};
+}
+
+/// The CDN study watches its ingress routers.
+std::vector<topology::RouterId> cdn_ingress(const topology::Network& net) {
+  if (net.cdn_nodes().empty()) return {};
+  return net.cdn_nodes().front().ingress_routers;
+}
+
+const Study kStudies[] = {
+    {"bgp", apps::bgp::build_graph, apps::bgp::configure_browser,
+     apps::bgp::canonical_cause, {30, 2000},
+     workload<sim::BgpStudyParams, sim::run_bgp_study>, no_observers},
+    {"cdn", apps::cdn::build_graph, apps::cdn::configure_browser,
+     apps::cdn::canonical_cause, {30, 1500},
+     workload<sim::CdnStudyParams, sim::run_cdn_study>, cdn_ingress},
+    {"pim", apps::pim::build_graph, apps::pim::configure_browser,
+     apps::pim::canonical_cause, {14, 2000},
+     workload<sim::PimStudyParams, sim::run_pim_study>, no_observers},
+    {"innet", apps::innet::build_graph, apps::innet::configure_browser,
+     apps::innet::canonical_cause, {30, 600},
+     workload<sim::InnetStudyParams, sim::run_innet_study>, no_observers},
+};
+
+const Study& find_study(const std::string& name) {
+  for (const Study& study : kStudies) {
+    if (name == study.name) return study;
   }
-  if (study == "cdn") {
-    return {apps::cdn::build_graph, apps::cdn::configure_browser,
-            apps::cdn::canonical_cause};
-  }
-  if (study == "pim") {
-    return {apps::pim::build_graph, apps::pim::configure_browser,
-            apps::pim::canonical_cause};
-  }
-  if (study == "innet") {
-    return {apps::innet::build_graph, apps::innet::configure_browser,
-            apps::innet::canonical_cause};
-  }
-  usage("unknown study '" + study + "'");
+  usage("unknown study '" + name + "'");
 }
 
 int cmd_dump_library() {
@@ -341,63 +383,36 @@ int cmd_dump_library() {
   return 0;
 }
 
-/// Per-study workload defaults (days, target symptom count), matching the
-/// scale of the paper's case studies.
-struct StudyDefaults {
-  int days;
-  int symptoms;
-};
-
-StudyDefaults study_defaults(const std::string& study) {
-  if (study == "bgp") return {30, 2000};
-  if (study == "cdn") return {30, 1500};
-  if (study == "pim") return {14, 2000};
-  if (study == "innet") return {30, 600};
-  usage("unknown study '" + study + "'");
+/// The contents of `file`; a usage error naming `what` when it cannot be
+/// opened.
+std::string read_text(const std::string& file, const std::string& what) {
+  std::ifstream in(file);
+  if (!in) usage("cannot open " + what + " " + file);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
 }
 
-sim::StudyOutput run_workload(const std::string& study,
-                              const topology::Network& net, int days,
-                              int symptoms, std::uint64_t seed) {
-  if (study == "bgp") {
-    sim::BgpStudyParams p;
-    p.days = days;
-    p.target_symptoms = symptoms;
-    p.seed = seed;
-    return sim::run_bgp_study(net, p);
+/// The study graph plus every --dsl file, validated.
+core::DiagnosisGraph study_graph(const Args& args, const Study& study) {
+  core::DiagnosisGraph graph = study.graph();
+  if (auto it = args.values.find("dsl"); it != args.values.end()) {
+    for (const std::string& file : it->second) {
+      core::load_dsl(read_text(file, "DSL file"), graph);
+    }
   }
-  if (study == "cdn") {
-    sim::CdnStudyParams p;
-    p.days = days;
-    p.target_symptoms = symptoms;
-    p.seed = seed;
-    return sim::run_cdn_study(net, p);
-  }
-  if (study == "pim") {
-    sim::PimStudyParams p;
-    p.days = days;
-    p.target_symptoms = symptoms;
-    p.seed = seed;
-    return sim::run_pim_study(net, p);
-  }
-  if (study == "innet") {
-    sim::InnetStudyParams p;
-    p.days = days;
-    p.target_symptoms = symptoms;
-    p.seed = seed;
-    return sim::run_innet_study(net, p);
-  }
-  usage("unknown study '" + study + "'");
+  graph.validate();
+  return graph;
 }
 
 /// Flags generate_corpus reads: these valued ones plus the bare
 /// --paper-scale.
 const FlagSet kCorpusFlags = {"seed", "days", "symptoms"};
 
-/// Generates the synthetic ISP + study workload used by `simulate`, and by
-/// `replay` and `serve` when no --data corpus is given.
-sim::ReplayCorpus generate_corpus(const Args& args, const std::string& study,
-                                  StudyDefaults defaults) {
+/// Generates the synthetic ISP and the study's workload over it, at
+/// --days/--symptoms or the given defaults.
+sim::ReplayCorpus generate_corpus(const Args& args, const Study& study,
+                                  Scale defaults) {
   topology::TopoParams tp;
   if (args.flags.count("paper-scale")) {
     tp = topology::paper_scale_params();
@@ -410,38 +425,147 @@ sim::ReplayCorpus generate_corpus(const Args& args, const std::string& study,
   }
   tp.seed = static_cast<std::uint64_t>(args.get_long("seed", 42));
   topology::Network net = topology::generate_isp(tp);
-  sim::StudyOutput result = run_workload(
-      study, net, static_cast<int>(args.get_long("days", defaults.days)),
-      static_cast<int>(args.get_long("symptoms", defaults.symptoms)),
+  sim::StudyOutput result = study.workload(
+      net,
+      {static_cast<int>(args.get_long("days", defaults.days)),
+       static_cast<int>(args.get_long("symptoms", defaults.symptoms))},
       tp.seed + 1);
   return sim::ReplayCorpus{std::move(net), std::move(result.records),
                            std::move(result.truth)};
 }
 
-/// Routers at which BGP egress changes are evaluated for a study (the CDN
-/// study watches its ingress routers; other studies need none).
-std::vector<topology::RouterId> observers_for(const std::string& study,
-                                              const topology::Network& net) {
-  if (study == "cdn" && !net.cdn_nodes().empty()) {
-    return net.cdn_nodes().front().ingress_routers;
+/// The corpus `replay` and `serve` stream: the archive at --data DIR, or a
+/// freshly generated two-week scenario at paper-like symptom density.
+sim::ReplayCorpus load_corpus(const Args& args, const Study& study) {
+  if (auto it = args.values.find("data"); it != args.values.end()) {
+    return sim::read_corpus(fs::path(it->second.back()));
   }
-  return {};
+  return generate_corpus(args, study, {14, 1000});
+}
+
+/// The event source: the sealed store at --store DIR (mmap'd; routing is
+/// still replayed from the records), or fresh extraction with the study's
+/// egress observers. Verdicts are byte-identical either way.
+apps::Pipeline study_pipeline(const Args& args, const Study& study,
+                              const sim::ReplayCorpus& corpus) {
+  if (auto it = args.values.find("store"); it != args.values.end()) {
+    return apps::Pipeline(
+        corpus.network, corpus.records,
+        std::make_shared<storage::PersistentEventStore>(
+            storage::PersistentEventStore::open(fs::path(it->second.back()))));
+  }
+  return apps::Pipeline(corpus.network, corpus.records,
+                        collector::ExtractOptions{},
+                        study.observers(corpus.network));
+}
+
+/// A corpus and the Pipeline over it. The pipeline keeps references into
+/// the corpus, so the two live together and never move.
+struct StudyData {
+  /// The archive at --data DIR.
+  StudyData(const Args& args, const Study& study)
+      : StudyData(sim::read_corpus(fs::path(args.get("data"))), args,
+                  study) {}
+  StudyData(sim::ReplayCorpus data, const Args& args, const Study& study)
+      : corpus(std::move(data)),
+        pipeline(study_pipeline(args, study, corpus)) {}
+  StudyData(const StudyData&) = delete;
+  StudyData& operator=(const StudyData&) = delete;
+
+  /// Diagnoses every symptom against study_graph over --threads (default:
+  /// hardware concurrency).
+  std::vector<core::Diagnosis> diagnose(const Args& args,
+                                        const Study& study) const {
+    return pipeline.diagnose_all(study_graph(args, study),
+                                 args.get_threads(0));
+  }
+
+  sim::ReplayCorpus corpus;
+  apps::Pipeline pipeline;
+};
+
+/// Flags the stream commands read through stream_flags.
+const FlagSet kStreamFlags = {"threads", "rate", "tick", "persist",
+                              "persist-seal-every"};
+
+/// The stream settings `replay` and `serve --follow` share: diagnosis
+/// threads, pacing, tick and write-ahead persistence.
+apps::ReplayOptions stream_flags(const Args& args, unsigned default_threads) {
+  apps::ReplayOptions opt;
+  opt.stream.threads = args.get_threads(default_threads);
+  if (std::string rate = args.get("rate", "max"); rate != "max") {
+    if (!rate.empty() && rate.back() == 'x') rate.pop_back();
+    try {
+      opt.rate = std::stod(rate);
+    } catch (const std::exception&) {
+      opt.rate = -1.0;
+    }
+    if (opt.rate <= 0) usage("--rate must be a positive factor or 'max'");
+  }
+  opt.tick = args.get_long("tick", 300);
+  if (opt.tick <= 0) usage("--tick must be positive");
+  if (auto it = args.values.find("persist"); it != args.values.end()) {
+    opt.stream.persist_dir = fs::path(it->second.back());
+  } else if (args.values.count("persist-seal-every")) {
+    usage("--persist-seal-every needs --persist");
+  }
+  opt.stream.persist_seal_every =
+      args.get_long("persist-seal-every", util::kHour);
+  return opt;
+}
+
+/// Writes render() to the file named by --KEY when the command was given
+/// one, and names the file on stdout when `what` is set.
+template <typename Render>
+void write_output(const Args& args, const std::string& key, Render render,
+                  const char* what = nullptr) {
+  auto it = args.values.find(key);
+  if (it == args.values.end()) return;
+  const std::string& file = it->second.back();
+  std::ofstream out(file);
+  if (!out) usage("cannot write " + file);
+  out << render();
+  if (what) std::cout << what << " written to " << file << "\n";
+}
+
+/// The installed metrics registry as JSON or Prometheus text.
+std::string render_metrics(bool json) {
+  const obs::MetricsRegistry& reg = *obs::registry_ptr();
+  return json ? obs::render_json(reg) : obs::render_prometheus(reg);
+}
+
+/// --metrics-out FILE: the registry after the run; `.json` selects JSON,
+/// anything else Prometheus text.
+void write_metrics_out(const Args& args) {
+  write_output(args, "metrics-out", [&] {
+    return render_metrics(fs::path(args.get("metrics-out")).extension() ==
+                          ".json");
+  });
+}
+
+void open_span_log(const Args& args) {
+  if (auto it = args.values.find("span-log"); it != args.values.end()) {
+    if (!obs::set_span_log(it->second.back())) {
+      usage("cannot write span log " + it->second.back());
+    }
+  }
 }
 
 int cmd_simulate(const Args& args) {
-  std::string study = args.get("study");
+  const Study& study = find_study(args.get("study"));
   fs::path out(args.get("out"));
-  sim::ReplayCorpus corpus = generate_corpus(args, study, study_defaults(study));
-  sim::write_corpus(out, corpus.network, corpus.records, corpus.truth);
-  std::cout << "wrote " << corpus.network.routers().size() << " configs, "
-            << corpus.records.size() << " records, " << corpus.truth.size()
-            << " truth labels under " << out.string() << "\n";
+  {
+    sim::ReplayCorpus corpus = generate_corpus(args, study, study.scale);
+    sim::write_corpus(out, corpus.network, corpus.records, corpus.truth);
+    std::cout << "wrote " << corpus.network.routers().size() << " configs, "
+              << corpus.records.size() << " records, " << corpus.truth.size()
+              << " truth labels under " << out.string() << "\n";
+  }
   if (auto it = args.values.find("store-out"); it != args.values.end()) {
-    fs::path store_dir(it->second.back());
-    apps::Pipeline pipeline(corpus.network, corpus.records,
-                            collector::ExtractOptions{},
-                            observers_for(study, corpus.network));
-    const core::EventStore& store = pipeline.store();
+    // Seal what every reader of DIR extracts: the archive read back (its
+    // config-rebuilt network and read order), not the in-memory corpus.
+    StudyData data(sim::read_corpus(out), args, study);
+    const core::EventStore& store = data.pipeline.store();
     // Batch extraction is complete, so the watermark is one past the last
     // event start: everything on disk is final.
     util::TimeSec watermark = 0;
@@ -450,6 +574,7 @@ int cmd_simulate(const Args& args) {
         watermark = std::max(watermark, e.when.start + 1);
       }
     }
+    fs::path store_dir(it->second.back());
     storage::write_sealed_store(store_dir, store, watermark);
     std::cout << "persisted " << store.total_instances() << " events ("
               << store.event_names().size() << " names) to "
@@ -458,81 +583,16 @@ int cmd_simulate(const Args& args) {
   return 0;
 }
 
-/// Flags run_study reads.
+/// Flags `diagnose` and `metrics` both read.
 const FlagSet kStudyRunFlags = {"study", "data", "span-log", "store", "dsl",
                                 "threads"};
 
-/// The shared front half of `diagnose` and `metrics`: corpus + pipeline
-/// from DIR, study graph (plus extra DSL files), full diagnose_all. The
-/// corpus is owned here because the pipeline keeps a reference to its
-/// network.
-struct StudyRun {
-  std::unique_ptr<sim::ReplayCorpus> corpus;
-  std::unique_ptr<apps::Pipeline> pipeline;
-  std::vector<core::Diagnosis> diagnoses;
-  StudyHooks hooks{};
-};
-
-StudyRun run_study(const Args& args) {
-  StudyRun run;
-  std::string study = args.get("study");
-  fs::path data(args.get("data"));
-  run.hooks = hooks_for(study);
-
-  if (auto it = args.values.find("span-log"); it != args.values.end()) {
-    if (!obs::set_span_log(it->second.back())) {
-      usage("cannot write span log " + it->second.back());
-    }
-  }
-
-  run.corpus =
-      std::make_unique<sim::ReplayCorpus>(sim::read_corpus(data));
-  const topology::Network& net = run.corpus->network;
-  if (auto it = args.values.find("store"); it != args.values.end()) {
-    // Serve events from the persisted log (mmap-backed) instead of
-    // re-extracting; the pipeline still replays routing state.
-    auto pstore = std::make_shared<storage::PersistentEventStore>(
-        storage::PersistentEventStore::open(fs::path(it->second.back())));
-    run.pipeline = std::make_unique<apps::Pipeline>(net, run.corpus->records,
-                                                    std::move(pstore));
-  } else {
-    run.pipeline = std::make_unique<apps::Pipeline>(
-        net, run.corpus->records, collector::ExtractOptions{},
-        observers_for(study, net));
-  }
-
-  core::DiagnosisGraph graph = run.hooks.graph();
-  if (auto it = args.values.find("dsl"); it != args.values.end()) {
-    for (const std::string& file : it->second) {
-      std::ifstream in(file);
-      if (!in) usage("cannot open DSL file " + file);
-      std::stringstream ss;
-      ss << in.rdbuf();
-      core::load_dsl(ss.str(), graph);
-    }
-    graph.validate();
-  }
-  run.diagnoses =
-      run.pipeline->diagnose_all(std::move(graph), args.get_threads(0));
-  return run;
-}
-
-/// Dumps the installed registry to FILE; `.json` selects JSON, anything
-/// else Prometheus text.
-void write_metrics_file(const fs::path& file) {
-  obs::MetricsRegistry* reg = obs::registry_ptr();
-  if (!reg) throw ConfigError("--metrics-out: no metrics registry installed");
-  std::ofstream out(file);
-  if (!out) usage("cannot write " + file.string());
-  out << (file.extension() == ".json" ? obs::render_json(*reg)
-                                      : obs::render_prometheus(*reg));
-}
-
 int cmd_diagnose(const Args& args) {
-  StudyRun run = run_study(args);
-  apps::Pipeline& pipeline = *run.pipeline;
-  core::ResultBrowser browser(std::move(run.diagnoses));
-  run.hooks.browser(browser);
+  const Study& study = find_study(args.get("study"));
+  open_span_log(args);
+  StudyData data(args, study);
+  core::ResultBrowser browser(data.diagnose(args, study));
+  study.browser(browser);
   std::cout << browser.breakdown().render("root cause breakdown");
   std::cout << "\nmean diagnosis time: " << browser.mean_diagnosis_ms()
             << " ms/symptom over " << browser.diagnoses().size()
@@ -549,12 +609,12 @@ int cmd_diagnose(const Args& args) {
     }
   }
   if (args.flags.count("score")) {
-    const std::vector<sim::TruthEntry>& truth = run.corpus->truth;
+    const std::vector<sim::TruthEntry>& truth = data.corpus.truth;
     if (truth.empty()) {
       std::cout << "\nno truth.tsv found; skipping scoring\n";
     } else {
       apps::Score score = apps::score_diagnoses(browser.diagnoses(), truth,
-                                                run.hooks.canonical);
+                                                study.canonical);
       std::cout << "\naccuracy vs ground truth: " << 100.0 * score.accuracy()
                 << "% (" << score.correct << "/" << score.matched
                 << " matched diagnoses)\n";
@@ -567,12 +627,10 @@ int cmd_diagnose(const Args& args) {
     } else {
       std::cout << "\n"
                 << browser.drill_down(*cases.front(),
-                                      pipeline.context_lookup());
+                                      data.pipeline.context_lookup());
     }
   }
-  if (auto it = args.values.find("metrics-out"); it != args.values.end()) {
-    write_metrics_file(fs::path(it->second.back()));
-  }
+  write_metrics_out(args);
   return 0;
 }
 
@@ -581,38 +639,18 @@ int cmd_metrics(const Args& args) {
   if (format != "prometheus" && format != "json") {
     usage("--format must be prometheus or json");
   }
-  StudyRun run = run_study(args);  // fills the registry as a side effect
-  obs::MetricsRegistry* reg = obs::registry_ptr();
-  if (!reg) {
-    std::cerr << "error: no metrics registry installed\n";
-    return 1;
-  }
-  std::cout << (format == "json" ? obs::render_json(*reg)
-                                 : obs::render_prometheus(*reg));
+  const Study& study = find_study(args.get("study"));
+  open_span_log(args);
+  StudyData data(args, study);
+  data.diagnose(args, study);  // fills the registry as a side effect
+  std::cout << render_metrics(format == "json");
   return 0;
 }
 
 int cmd_calibrate(const Args& args) {
-  std::string study = args.get("study");
-  hooks_for(study);  // validate the name before reading the corpus
-  fs::path data(args.get("data"));
-  sim::ReplayCorpus corpus = sim::read_corpus(data);
-  std::unique_ptr<apps::Pipeline> pipeline;
-  if (auto it = args.values.find("store"); it != args.values.end()) {
-    // Calibrate against the persisted event log (the same view `diagnose
-    // --store` reads) instead of re-extracting from raw telemetry.
-    auto pstore = std::make_shared<storage::PersistentEventStore>(
-        storage::PersistentEventStore::open(fs::path(it->second.back())));
-    pipeline = std::make_unique<apps::Pipeline>(corpus.network, corpus.records,
-                                                std::move(pstore));
-  } else {
-    // The same extraction `diagnose` runs for this study.
-    pipeline = std::make_unique<apps::Pipeline>(
-        corpus.network, corpus.records, collector::ExtractOptions{},
-        observers_for(study, corpus.network));
-  }
+  StudyData data(args, find_study(args.get("study")));
   auto result = core::calibrate_temporal(
-      pipeline->events(), pipeline->mapper(), args.get("symptom"),
+      data.pipeline.events(), data.pipeline.mapper(), args.get("symptom"),
       args.get("diagnostic"), core::parse_location_type(args.get("join")));
   if (!result) {
     std::cout << "not enough co-occurrences to calibrate\n";
@@ -633,58 +671,23 @@ int cmd_calibrate(const Args& args) {
 }
 
 int cmd_replay(const Args& args) {
-  std::string study = args.get("study", "bgp");
-  StudyHooks hooks = hooks_for(study);
-  apps::ReplayOptions opt;
-  opt.stream.threads = args.get_threads(1);
-
-  // Source data: a recorded corpus, or a freshly generated default scenario
-  // (a two-week study at paper-like symptom density).
-  std::unique_ptr<sim::ReplayCorpus> corpus;
-  if (auto it = args.values.find("data"); it != args.values.end()) {
-    corpus = std::make_unique<sim::ReplayCorpus>(
-        sim::read_corpus(fs::path(it->second.back())));
-  } else {
-    corpus = std::make_unique<sim::ReplayCorpus>(
-        generate_corpus(args, study, StudyDefaults{14, 1000}));
-  }
-
-  std::string rate = args.get("rate", "max");
-  if (rate != "max") {
-    if (!rate.empty() && rate.back() == 'x') rate.pop_back();
-    try {
-      opt.rate = std::stod(rate);
-    } catch (const std::exception&) {
-      opt.rate = -1.0;
-    }
-    if (opt.rate <= 0) usage("--rate must be a positive factor or 'max'");
-  }
-  opt.tick = args.get_long("tick", 300);
+  const Study& study = find_study(args.get("study", "bgp"));
+  apps::ReplayOptions opt = stream_flags(args, 1);
   opt.source_lag = args.get_long("source-lag", 120);
   opt.record_jitter = args.get_long("jitter", 60);
   opt.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
-  if (auto it = args.values.find("persist"); it != args.values.end()) {
-    opt.stream.persist_dir = fs::path(it->second.back());
-    opt.stream.persist_seal_every =
-        args.get_long("persist-seal-every", util::kHour);
-  }
+  sim::ReplayCorpus corpus = load_corpus(args, study);
 
-  apps::FeedReplayer replayer(corpus->network, opt);
-  core::DiagnosisGraph graph = hooks.graph();
+  apps::FeedReplayer replayer(corpus.network, opt);
+  core::DiagnosisGraph graph = study_graph(args, study);
   bool with_truth = !args.flags.count("no-truth");
   apps::ReplayReport report =
-      replayer.replay(corpus->records, graph,
-                      with_truth ? &corpus->truth : nullptr, hooks.canonical);
+      replayer.replay(corpus.records, graph,
+                      with_truth ? &corpus.truth : nullptr, study.canonical);
 
   std::cout << apps::render_text(report);
-  if (auto it = args.values.find("report-out"); it != args.values.end()) {
-    std::ofstream out(it->second.back());
-    if (!out) usage("cannot write " + it->second.back());
-    out << apps::render_json(report);
-  }
-  if (auto it = args.values.find("metrics-out"); it != args.values.end()) {
-    write_metrics_file(fs::path(it->second.back()));
-  }
+  write_output(args, "report-out", [&] { return apps::render_json(report); });
+  write_metrics_out(args);
 
   long min_rate = args.get_long("min-rate", 0);
   if (min_rate > 0 && report.records_per_min() < static_cast<double>(min_rate)) {
@@ -695,10 +698,14 @@ int cmd_replay(const Args& args) {
   return report.passed() ? 0 : 1;
 }
 
-/// Writes every /api/* response to `dir` through ServicePlane::handle —
-/// the exact code path the live server runs, so a curl of the running
-/// server and these files are byte-identical (the CI smoke job diffs them).
-void api_dump(const service::ServicePlane& plane, const fs::path& dir) {
+/// --api-dump DIR: writes every /api/* response to DIR through
+/// ServicePlane::handle — the exact code path the live server runs, so a
+/// curl of the running server and these files are byte-identical (the CI
+/// smoke job diffs them).
+void api_dump(const service::ServicePlane& plane, const Args& args) {
+  auto it = args.values.find("api-dump");
+  if (it == args.values.end()) return;
+  fs::path dir(it->second.back());
   fs::create_directories(dir);
   static constexpr std::pair<const char*, const char*> kEndpoints[] = {
       {"/api/breakdown", "breakdown.json"},
@@ -719,22 +726,16 @@ void api_dump(const service::ServicePlane& plane, const fs::path& dir) {
 std::vector<service::AlertRule> load_alert_rules(const Args& args) {
   auto it = args.values.find("alert-rules");
   if (it == args.values.end()) return service::default_alert_rules();
-  std::ifstream in(it->second.back());
-  if (!in) usage("cannot open alert rules file " + it->second.back());
-  std::stringstream ss;
-  ss << in.rdbuf();
-  return service::parse_alert_rules(ss.str());
+  return service::parse_alert_rules(
+      read_text(it->second.back(), "alert rules file"));
 }
 
 /// Starts the HTTP listeners and reports where they landed (--port 0 binds
 /// an ephemeral port; --port-file is how scripts learn which).
 void start_serving(service::ServicePlane& plane, const Args& args) {
   plane.start();
-  if (auto it = args.values.find("port-file"); it != args.values.end()) {
-    std::ofstream out(it->second.back());
-    if (!out) usage("cannot write " + it->second.back());
-    out << plane.port() << "\n";
-  }
+  write_output(args, "port-file",
+               [&] { return std::to_string(plane.port()) + "\n"; });
   std::cout << "serving on http://127.0.0.1:" << plane.port()
             << " (/metrics, /api/*)" << std::endl;
 }
@@ -750,35 +751,26 @@ void wait_for_shutdown(service::ServicePlane& plane) {
 }
 
 int cmd_serve(const Args& args) {
-  std::string study = args.get("study");
-  StudyHooks hooks = hooks_for(study);
+  const Study& study = find_study(args.get("study"));
   bool follow = args.flags.count("follow") > 0;
   bool once = args.flags.count("once") > 0;
   if (!follow) {
     // Batch mode reads none of the streaming flags: name the first one given
     // rather than ignore it.
-    for (const char* key :
-         {"persist", "persist-seal-every", "rate", "tick", "idle-ticks"}) {
-      if (args.values.count(key)) {
-        usage(std::string("--") + key + " needs --follow");
+    for (const std::string& key : kStreamFlags + FlagSet{"idle-ticks"}) {
+      if (key != "threads" && args.values.count(key)) {
+        usage("--" + key + " needs --follow");
       }
     }
   }
   // Diagnosis threads in both modes; streaming batches are small, so
   // --follow diagnoses inline unless asked otherwise.
-  const unsigned threads = args.get_threads(follow ? 1 : 0);
+  const apps::ReplayOptions opt = stream_flags(args, follow ? 1 : 0);
   const long http_threads = args.get_long("http-threads", 1);
   if (http_threads < 0) usage("--http-threads must be >= 0");
 
-  std::unique_ptr<sim::ReplayCorpus> corpus;
-  if (auto it = args.values.find("data"); it != args.values.end()) {
-    corpus = std::make_unique<sim::ReplayCorpus>(
-        sim::read_corpus(fs::path(it->second.back())));
-  } else {
-    corpus = std::make_unique<sim::ReplayCorpus>(
-        generate_corpus(args, study, StudyDefaults{14, 1000}));
-  }
-  if (corpus->records.empty()) usage("corpus has no records");
+  sim::ReplayCorpus corpus = load_corpus(args, study);
+  if (corpus.records.empty()) usage("corpus has no records");
 
   service::ServicePlaneOptions popt;
   popt.port = static_cast<std::uint16_t>(args.get_long("port", 0));
@@ -788,7 +780,7 @@ int cmd_serve(const Args& args) {
   {
     // Same labels and row order as the study's offline report tables.
     core::ResultBrowser browser{std::vector<core::Diagnosis>{}};
-    hooks.browser(browser);
+    study.browser(browser);
     plane.set_display(service::DisplayConfig::from_browser(browser));
   }
 
@@ -796,12 +788,8 @@ int cmd_serve(const Args& args) {
 
   if (!follow) {
     // Batch mode: run the study once, publish the finished result, serve.
-    core::DiagnosisGraph graph = hooks.graph();
-    apps::Pipeline pipeline(corpus->network, corpus->records,
-                            collector::ExtractOptions{},
-                            observers_for(study, corpus->network));
-    std::vector<core::Diagnosis> diagnoses =
-        pipeline.diagnose_all(std::move(graph), threads);
+    StudyData data(std::move(corpus), args, study);
+    std::vector<core::Diagnosis> diagnoses = data.diagnose(args, study);
     // The stream clock echoed by /api/health: end of the diagnosed data
     // (deterministic, so batch dumps are reproducible run to run).
     util::TimeSec now = 0;
@@ -809,14 +797,12 @@ int cmd_serve(const Args& args) {
       now = std::max(now, d.symptom.when.end);
     }
     plane.add_diagnoses(diagnoses);
-    plane.set_health(pipeline.feed_health().status());
+    plane.set_health(data.pipeline.feed_health().status());
     plane.set_alerts(load_alert_rules(args), {}, 0);
     plane.publish(now);
     std::cout << "published " << diagnoses.size() << " diagnoses (batch "
-              << study << " study)" << std::endl;
-    if (auto it = args.values.find("api-dump"); it != args.values.end()) {
-      api_dump(plane, fs::path(it->second.back()));
-    }
+              << study.name << " study)" << std::endl;
+    api_dump(plane, args);
     if (once) return 0;
     start_serving(plane, args);
     wait_for_shutdown(plane);
@@ -826,40 +812,23 @@ int cmd_serve(const Args& args) {
   // Follow mode: stream the corpus through the real-time engine, publish a
   // fresh snapshot every tick, and let the alert engine inject missing-data
   // evidence into the live diagnosis.
-  core::DiagnosisGraph graph = hooks.graph();
+  core::DiagnosisGraph graph = study_graph(args, study);
   service::add_missing_data_support(graph);
-  apps::StreamingOptions sopt;
-  sopt.threads = threads;
-  if (auto it = args.values.find("persist"); it != args.values.end()) {
-    sopt.persist_dir = fs::path(it->second.back());
-    sopt.persist_seal_every =
-        args.get_long("persist-seal-every", util::kHour);
-  }
-  apps::StreamingRca stream(corpus->network, std::move(graph), sopt);
+  apps::StreamingRca stream(corpus.network, std::move(graph), opt.stream);
 
   std::vector<core::Location> scope;
-  for (const topology::Pop& p : corpus->network.pops()) {
+  for (const topology::Pop& p : corpus.network.pops()) {
     scope.push_back(core::Location::pop(p.name));
   }
   service::AlertEngine alerts(load_alert_rules(args), std::move(scope));
 
-  double rate = 0.0;  // <= 0: as fast as possible
-  if (std::string r = args.get("rate", "max"); r != "max") {
-    if (!r.empty() && r.back() == 'x') r.pop_back();
-    try {
-      rate = std::stod(r);
-    } catch (const std::exception&) {
-      rate = -1.0;
-    }
-    if (rate <= 0) usage("--rate must be a positive factor or 'max'");
-  }
-  util::TimeSec tick = args.get_long("tick", 300);
-  if (tick <= 0) usage("--tick must be positive");
+  const double rate = opt.rate;  // <= 0: as fast as possible
+  const util::TimeSec tick = opt.tick;
   long idle_ticks = args.get_long("idle-ticks", 0);
 
   if (!once) start_serving(plane, args);
 
-  const telemetry::RecordStream& records = corpus->records;
+  const telemetry::RecordStream& records = corpus.records;
   util::TimeSec start_sim = records.front().true_utc;
   auto wall_start = std::chrono::steady_clock::now();
   auto pace = [&](util::TimeSec sim) {
@@ -925,9 +894,7 @@ int cmd_serve(const Args& args) {
   std::cout << "stream complete: " << diag_total << " diagnoses, "
             << stream.injected() << " injected alert events, "
             << alerts.alarms().size() << " alarms" << std::endl;
-  if (auto it = args.values.find("api-dump"); it != args.values.end()) {
-    api_dump(plane, fs::path(it->second.back()));
-  }
+  api_dump(plane, args);
   if (once) return 0;
   if (service::ShutdownSignal::requested()) {
     std::cout << "signal " << service::ShutdownSignal::signal_number()
@@ -1083,6 +1050,24 @@ int cmd_spans(const Args& args) {
   return 0;
 }
 
+/// --pers/--customers: how an imported topology is populated.
+topology::ImportOptions import_options(const Args& args) {
+  topology::ImportOptions options;
+  options.pers_per_pop = static_cast<int>(args.get_long("pers", 2));
+  options.customers_per_per = static_cast<int>(args.get_long("customers", 4));
+  return options;
+}
+
+/// --noise: the benign-event scale factor (default 1.0).
+double noise_flag(const Args& args) {
+  std::string noise = args.get("noise", "1.0");
+  try {
+    return std::stod(noise);
+  } catch (const std::exception&) {
+    usage("--noise: expected a number, got '" + noise + "'");
+  }
+}
+
 int cmd_benchmark(const Args& args) {
   // Topology set: explicit --topology files, else every *.graph under the
   // topology directory in name order (stable matrix row order).
@@ -1107,12 +1092,7 @@ int cmd_benchmark(const Args& args) {
   options.target_symptoms = static_cast<int>(args.get_long("symptoms", 120));
   options.seed = static_cast<std::uint64_t>(args.get_long("seed", 29));
   options.threads = args.get_threads(0);
-  try {
-    options.noise = std::stod(args.get("noise", "1.0"));
-  } catch (const std::exception&) {
-    usage("--noise: expected a number, got '" + args.get("noise", "1.0") +
-          "'");
-  }
+  options.noise = noise_flag(args);
   options.timing = !args.flags.count("deterministic");
   if (auto it = args.values.find("scenarios"); it != args.values.end()) {
     for (std::string_view part : util::split(it->second.back(), ',')) {
@@ -1121,17 +1101,13 @@ int cmd_benchmark(const Args& args) {
     }
   }
 
-  topology::ImportOptions import_options;
-  import_options.pers_per_pop = static_cast<int>(args.get_long("pers", 2));
-  import_options.customers_per_per =
-      static_cast<int>(args.get_long("customers", 4));
-
+  const topology::ImportOptions imports = import_options(args);
   std::deque<topology::Network> networks;  // stable addresses
   std::vector<apps::BenchmarkTopology> topologies;
   for (const fs::path& file : files) {
     topology::ImportStats stats;
     networks.push_back(
-        topology::import_repetita_file(file.string(), import_options, &stats));
+        topology::import_repetita_file(file.string(), imports, &stats));
     topologies.push_back({file.stem().string(), &networks.back()});
     std::cout << "imported " << file.stem().string() << ": "
               << stats.graph_nodes << " nodes, " << stats.graph_edges
@@ -1158,27 +1134,16 @@ int cmd_benchmark(const Args& args) {
             << util::format_double(f1, 4) << " over " << result.cells.size()
             << " cell(s)\n";
 
-  if (auto it = args.values.find("out"); it != args.values.end()) {
-    std::ofstream out(it->second.back());
-    if (!out) usage("cannot write " + it->second.back());
-    out << apps::render_scorecard_json(result);
-    std::cout << "scorecard written to " << it->second.back() << "\n";
-  }
-  if (auto it = args.values.find("gate-out"); it != args.values.end()) {
-    std::ofstream out(it->second.back());
-    if (!out) usage("cannot write " + it->second.back());
-    out << apps::render_gate_json(result);
-    std::cout << "gate metrics written to " << it->second.back() << "\n";
-  }
+  write_output(args, "out",
+               [&] { return apps::render_scorecard_json(result); },
+               "scorecard");
+  write_output(args, "gate-out",
+               [&] { return apps::render_gate_json(result); }, "gate metrics");
   return 0;
 }
 
 int cmd_learn(const Args& args) {
-  if (auto it = args.values.find("span-log"); it != args.values.end()) {
-    if (!obs::set_span_log(it->second.back())) {
-      usage("cannot write span log " + it->second.back());
-    }
-  }
+  open_span_log(args);
 
   learn::LearnDriverOptions options;
   options.deterministic = args.flags.count("deterministic") > 0;
@@ -1215,103 +1180,55 @@ int cmd_learn(const Args& args) {
 
   // Input: a recorded corpus (--study/--data) or a regenerated benchmark
   // cell (--topology/--scenario) with benchmark-identical cell seeding.
-  std::unique_ptr<sim::ReplayCorpus> corpus;
-  StudyHooks hooks{};
-  std::string app;
+  sim::ReplayCorpus corpus;
+  const Study* study = nullptr;
   if (auto it = args.values.find("topology"); it != args.values.end()) {
     fs::path file(it->second.back());
     sim::ScenarioClass cls = sim::parse_scenario_class(args.get("scenario"));
-    app = sim::scenario_app(cls);
-    hooks = hooks_for(app);
-    topology::ImportOptions import_options;
-    import_options.pers_per_pop = static_cast<int>(args.get_long("pers", 2));
-    import_options.customers_per_per =
-        static_cast<int>(args.get_long("customers", 4));
+    study = &find_study(sim::scenario_app(cls));
     topology::ImportStats stats;
-    topology::Network net =
-        topology::import_repetita_file(file.string(), import_options, &stats);
+    topology::Network net = topology::import_repetita_file(
+        file.string(), import_options(args), &stats);
     std::cout << "imported " << file.stem().string() << ": "
               << stats.graph_nodes << " nodes, " << stats.graph_edges
               << " edges -> " << stats.backbone_links << " backbone links\n";
     sim::ScenarioParams params;
     params.days = static_cast<int>(args.get_long("days", 3));
     params.target_symptoms = static_cast<int>(args.get_long("symptoms", 120));
-    try {
-      params.noise = std::stod(args.get("noise", "1.0"));
-    } catch (const std::exception&) {
-      usage("--noise: expected a number, got '" + args.get("noise", "1.0") +
-            "'");
-    }
+    params.noise = noise_flag(args);
     params.seed = apps::cell_seed(
         static_cast<std::uint64_t>(args.get_long("seed", 29)),
         file.stem().string(), sim::to_string(cls));
-    sim::StudyOutput study = sim::run_scenario(cls, net, params);
+    sim::StudyOutput cell = sim::run_scenario(cls, net, params);
     options.label = file.stem().string() + "." + sim::to_string(cls);
     options.seed = params.seed;
-    corpus = std::make_unique<sim::ReplayCorpus>(sim::ReplayCorpus{
-        std::move(net), std::move(study.records), std::move(study.truth)});
+    corpus = {std::move(net), std::move(cell.records), std::move(cell.truth)};
   } else {
-    app = args.get("study");
-    hooks = hooks_for(app);
-    corpus = std::make_unique<sim::ReplayCorpus>(
-        sim::read_corpus(fs::path(args.get("data"))));
-    options.label = "study:" + app;
+    study = &find_study(args.get("study"));
+    corpus = sim::read_corpus(fs::path(args.get("data")));
+    options.label = std::string("study:") + study->name;
     options.seed = static_cast<std::uint64_t>(args.get_long("seed", 0));
   }
-  if (corpus->truth.empty()) {
+  if (corpus.truth.empty()) {
     usage("learning needs ground-truth labels; the corpus has none");
   }
-
-  std::unique_ptr<apps::Pipeline> pipeline;
-  if (auto it = args.values.find("store"); it != args.values.end()) {
-    auto pstore = std::make_shared<storage::PersistentEventStore>(
-        storage::PersistentEventStore::open(fs::path(it->second.back())));
-    pipeline = std::make_unique<apps::Pipeline>(
-        corpus->network, corpus->records, std::move(pstore));
-  } else {
-    pipeline = std::make_unique<apps::Pipeline>(
-        corpus->network, corpus->records, collector::ExtractOptions{},
-        observers_for(app, corpus->network));
-  }
-
-  core::DiagnosisGraph graph = hooks.graph();
-  if (auto it = args.values.find("dsl"); it != args.values.end()) {
-    for (const std::string& file : it->second) {
-      std::ifstream in(file);
-      if (!in) usage("cannot open DSL file " + file);
-      std::stringstream ss;
-      ss << in.rdbuf();
-      core::load_dsl(ss.str(), graph);
-    }
-    graph.validate();
-  }
+  StudyData data(std::move(corpus), args, *study);
 
   learn::LearnDriver driver(options);
-  learn::LearnRun run = driver.run(*pipeline, std::move(graph), corpus->truth,
-                                   hooks.canonical);
+  learn::LearnRun run =
+      driver.run(data.pipeline, study_graph(args, *study), data.corpus.truth,
+                 study->canonical);
   std::cout << learn::render_learn_text(run);
 
-  if (auto it = args.values.find("out"); it != args.values.end()) {
-    std::ofstream out(it->second.back());
-    if (!out) usage("cannot write " + it->second.back());
-    out << learn::render_learn_json(run);
-    std::cout << "report written to " << it->second.back() << "\n";
-  }
-  if (auto it = args.values.find("gate-out"); it != args.values.end()) {
-    std::ofstream out(it->second.back());
-    if (!out) usage("cannot write " + it->second.back());
-    out << learn::render_learn_gate_json(run);
-    std::cout << "gate metrics written to " << it->second.back() << "\n";
-  }
-  if (auto it = args.values.find("rules-out"); it != args.values.end()) {
-    std::ofstream out(it->second.back());
-    if (!out) usage("cannot write " + it->second.back());
-    out << learn::render_learned_rules_dsl(run);
-    std::cout << "learned rules written to " << it->second.back() << "\n";
-  }
-  if (auto it = args.values.find("metrics-out"); it != args.values.end()) {
-    write_metrics_file(fs::path(it->second.back()));
-  }
+  write_output(args, "out", [&] { return learn::render_learn_json(run); },
+               "report");
+  write_output(args, "gate-out",
+               [&] { return learn::render_learn_gate_json(run); },
+               "gate metrics");
+  write_output(args, "rules-out",
+               [&] { return learn::render_learned_rules_dsl(run); },
+               "learned rules");
+  write_metrics_out(args);
 
   bool ok = run.options.ablate.empty() ||
             run.ablated_relearned == run.options.ablate.size();
@@ -1356,20 +1273,17 @@ int main(int argc, char** argv) {
     if (command == "replay") {
       return cmd_replay(Args::parse(
           argc, argv, 2, command,
-          kCorpusFlags + FlagSet{"study", "data", "rate", "threads", "tick",
-                                 "source-lag", "jitter", "persist",
-                                 "persist-seal-every", "report-out",
-                                 "metrics-out", "min-rate"},
+          kCorpusFlags + kStreamFlags +
+              FlagSet{"study", "data", "source-lag", "jitter", "report-out",
+                      "metrics-out", "min-rate"},
           {"no-truth", "paper-scale"}));
     }
     if (command == "serve") {
       return cmd_serve(Args::parse(
           argc, argv, 2, command,
-          kCorpusFlags + FlagSet{"study", "data", "port", "port-file",
-                                 "http-threads", "threads", "api-dump",
-                                 "alert-rules", "persist",
-                                 "persist-seal-every", "rate", "tick",
-                                 "idle-ticks"},
+          kCorpusFlags + kStreamFlags +
+              FlagSet{"study", "data", "port", "port-file", "http-threads",
+                      "api-dump", "alert-rules", "idle-ticks"},
           {"follow", "once", "public", "paper-scale"}));
     }
     if (command == "store") {

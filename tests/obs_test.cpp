@@ -3,8 +3,9 @@
 //
 // Tests for the observability subsystem: sharded metric primitives under
 // concurrency, registry semantics, exporter formats (Prometheus text parsed
-// line by line, JSON round-tripped against the snapshot), trace spans and
-// the span log, and feed-health gap/silence tracking.
+// line by line, JSON round-tripped against the snapshot), help text for
+// every family the engines register, trace spans and the span log, and
+// feed-health gap/silence tracking.
 
 #include <gtest/gtest.h>
 
@@ -14,10 +15,15 @@
 #include <sstream>
 #include <thread>
 
+#include "apps/bgp_flap_app.h"
+#include "apps/pipeline.h"
+#include "apps/streaming.h"
 #include "obs/export.h"
 #include "obs/feed_health.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
+#include "simulation/workloads.h"
+#include "topology/topo_gen.h"
 
 namespace grca::obs {
 namespace {
@@ -235,6 +241,45 @@ TEST(Export, PrometheusEmitsHelpAndTypePerFamily) {
   // Exactly one HELP header per family.
   EXPECT_EQ(text.find("# HELP grca_feed_records_total"),
             text.rfind("# HELP grca_feed_records_total"));
+}
+
+TEST(Export, EngineAndStreamingFamiliesHaveOwnHelp) {
+  MetricsRegistry registry;
+  ScopedRegistry scoped(&registry);
+  topology::TopoParams tp;
+  tp.pops = 3;
+  tp.pers_per_pop = 2;
+  tp.customers_per_per = 3;
+  topology::Network net = topology::generate_isp(tp);
+  sim::BgpStudyParams params;
+  params.days = 1;
+  params.target_symptoms = 20;
+  params.noise = 0.3;
+  sim::StudyOutput study = sim::run_bgp_study(net, params);
+
+  apps::Pipeline pipeline(net, study.records);
+  core::RcaEngine engine(apps::bgp::build_graph(), pipeline.store(),
+                         pipeline.mapper());
+  ASSERT_FALSE(engine.diagnose_all().empty());
+  apps::StreamingRca stream(net, apps::bgp::build_graph());
+  for (const telemetry::RawRecord& r : study.records) stream.ingest(r);
+  stream.drain();
+
+  std::string text = render_prometheus(registry);
+  for (const char* family :
+       {"grca_engine_diagnoses_total", "grca_join_cache_hits",
+        "grca_stage_seconds", "grca_streaming_freeze_lag_seconds"}) {
+    EXPECT_NE(text.find(std::string("# HELP ") + family + ' '),
+              std::string::npos)
+        << family;
+  }
+  // The generic fallback is for families outside the platform only.
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("# HELP ", 0) == 0) {
+      EXPECT_EQ(line.find(" G-RCA metric"), std::string::npos) << line;
+    }
+  }
 }
 
 TEST(Export, PrometheusLabelEscapesValue) {
